@@ -6,18 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Microbenchmark of the two runtime hot paths this PR series optimizes:
+/// Microbenchmark of the two runtime hot paths:
 ///
 ///   tracked_access — the inline per-access path (LLC probe + per-tier
 ///       accounting) driven by a pseudo-random gather whose footprint
 ///       exceeds the simulated LLC, so the probe's miss side is exercised
 ///       as hard as its hit side;
 ///   miss_drain — the end-of-iteration drain of buffered shard misses
-///       into the profiler, miss trace, and TLB replay. Both drains are
-///       measured from one binary: the reference per-miss pipeline
-///       (RuntimeConfig::BatchedDrain = false, the pre-optimization
-///       behaviour preserved verbatim) and the batched pipeline, giving a
-///       self-contained before/after pair plus their speedup.
+///       into the profiler, miss trace, and TLB replay. The bench fails
+///       when the profiler saw a different number of misses than were
+///       injected into the shard buffers.
 ///
 /// Each section runs one untimed warmup pass and then N timed repeats;
 /// the JSON reports min/median/max rates per section, with the legacy
@@ -36,12 +34,12 @@
 #include "sim/Tlb.h"
 #include "support/BuildInfo.h"
 #include "support/Options.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace atmem;
@@ -132,13 +130,9 @@ SectionResult benchTrackedAccess(uint64_t Accesses) {
 }
 
 /// Deterministic per-shard miss streams (byte offsets into the gather
-/// array), generated once and injected verbatim into both drain
-/// configurations. Earlier revisions produced the misses with a tracked
-/// kernel fill, which let the pool's work partitioning perturb each
-/// shard's private LLC — the reference and batched sections then drained
-/// slightly different miss counts (6192686 vs 6192602 in the committed
-/// baseline) even though the drains themselves are deterministic.
-/// Injection makes the two sections' inputs identical by construction.
+/// array), generated once and injected verbatim into every repeat. A
+/// tracked kernel fill would let the pool's work partitioning perturb
+/// each shard's private LLC, so repeats would drain different miss counts.
 std::vector<std::vector<uint64_t>>
 makeMissStreams(uint32_t Shards, uint64_t MissesPerShard) {
   constexpr uint64_t Elems = 1u << 22;
@@ -155,17 +149,17 @@ makeMissStreams(uint32_t Shards, uint64_t MissesPerShard) {
 }
 
 /// Times the end-of-iteration drain (profiler + miss trace + TLB replay
-/// over every buffered miss) for one drain implementation. The buffers
-/// are filled untimed from \p Streams; only endIteration() — the drain —
-/// is on the clock.
-SectionResult
-benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
-               const std::vector<std::vector<uint64_t>> &Streams,
-               const std::string &TracePath) {
+/// over every buffered miss) into \p Result. The buffers are filled
+/// untimed from \p Streams; only endIteration() — the drain — is on the
+/// clock. Returns false, after reporting why, when the trace cannot be
+/// opened or the profiler counted a different number of misses than were
+/// injected.
+bool benchMissDrain(uint32_t SimThreads, uint32_t Iterations,
+                    const std::vector<std::vector<uint64_t>> &Streams,
+                    const std::string &TracePath, SectionResult &Result) {
   core::RuntimeConfig Config;
   Config.Machine = benchMachine();
   Config.SimThreads = SimThreads;
-  Config.BatchedDrain = Batched;
   core::Runtime Rt(Config);
   constexpr uint64_t Elems = 1u << 22;
   core::TrackedArray<uint64_t> Arr = Rt.allocate<uint64_t>("gather", Elems);
@@ -177,12 +171,13 @@ benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
   if (!Trace.open(TracePath)) {
     std::fprintf(stderr, "micro_hotpath: cannot open %s\n",
                  TracePath.c_str());
-    return {};
+    return false;
   }
   Rt.setMissTrace(&Trace);
   Rt.profilingStart();
 
-  SectionResult Result;
+  Result = {};
+  uint64_t Injected = 0;
   // Iteration 0 is an untimed warmup: it touches every buffer, warms the
   // translation cache and recycle pool, and is excluded from the stats.
   for (uint32_t Iter = 0; Iter <= Iterations; ++Iter) {
@@ -194,6 +189,7 @@ benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
       Buf.reserve(Streams[T].size());
       for (uint64_t Off : Streams[T])
         Buf.push_back(VaBase + Off);
+      Injected += Buf.size();
       if (!Warmup)
         Result.Events += Buf.size();
     }
@@ -205,15 +201,22 @@ benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
   Rt.profilingStop();
   Trace.finish();
   std::remove(TracePath.c_str());
-  return Result;
+  if (Rt.profiler().missesSeen() != Injected) {
+    std::fprintf(stderr,
+                 "micro_hotpath: the profiler saw %llu misses but %llu were "
+                 "injected\n",
+                 static_cast<unsigned long long>(Rt.profiler().missesSeen()),
+                 static_cast<unsigned long long>(Injected));
+    return false;
+  }
+  return true;
 }
 
 } // namespace
 
 int main(int Argc, const char **Argv) {
   OptionParser Parser(
-      "micro_hotpath: tracked-access and miss-drain throughput, with the "
-      "reference (pre-batching) drain as an in-binary baseline");
+      "micro_hotpath: tracked-access and miss-drain throughput");
   Parser.addFlag("quick", "Cut workload sizes for CI smoke runs");
   Parser.addUnsigned("sim-threads", 2,
                      "Engine threads for the miss-drain section");
@@ -237,17 +240,11 @@ int main(int Argc, const char **Argv) {
   uint64_t DrainMissesPerShard =
       (Quick ? 2u << 20 : 8u << 20) / std::max(1u, SimThreads) / 10;
 
-  // One topology probe provides both provenance fields: the cached
-  // hardware-thread count (the same value Runtime caches at construction
-  // instead of re-asking hardware_concurrency per drain) and the NUMA
-  // node count the sharded drain laid out against.
-  support::Topology Topo = support::Topology::detect();
+  uint32_t HostThreads = std::max(1u, std::thread::hardware_concurrency());
 
-  std::printf(
-      "[micro_hotpath] quick=%d sim-threads=%u host-threads=%u "
-      "numa-nodes=%u repeats=%u\n",
-      Quick ? 1 : 0, SimThreads, Topo.hardwareThreads(), Topo.numNodes(),
-      Repeats);
+  std::printf("[micro_hotpath] quick=%d sim-threads=%u host-threads=%u "
+              "repeats=%u\n",
+              Quick ? 1 : 0, SimThreads, HostThreads, Repeats);
 
   auto report = [](const char *Name, const char *Unit,
                    const SectionStats &S) {
@@ -267,31 +264,15 @@ int main(int Argc, const char **Argv) {
   std::string TracePath = Parser.getString("trace-tmp");
   std::vector<std::vector<uint64_t>> Streams =
       makeMissStreams(std::max(1u, SimThreads), DrainMissesPerShard);
-  std::vector<SectionResult> ReferenceRuns, BatchedRuns;
-  for (uint32_t R = 0; R < Repeats; ++R)
-    ReferenceRuns.push_back(benchMissDrain(
-        /*Batched=*/false, SimThreads, DrainIters, Streams, TracePath));
-  for (uint32_t R = 0; R < Repeats; ++R)
-    BatchedRuns.push_back(benchMissDrain(
-        /*Batched=*/true, SimThreads, DrainIters, Streams, TracePath));
-  SectionStats Reference = summarize(std::move(ReferenceRuns));
-  SectionStats Batched = summarize(std::move(BatchedRuns));
-  report("drain_reference", "misses  ", Reference);
-  report("drain_batched", "misses  ", Batched);
-  if (Reference.Median.Events != Batched.Median.Events) {
-    std::fprintf(stderr,
-                 "micro_hotpath: reference and batched drained different "
-                 "miss counts (%llu vs %llu) despite injected streams\n",
-                 static_cast<unsigned long long>(Reference.Median.Events),
-                 static_cast<unsigned long long>(Batched.Median.Events));
-    return 1;
+  std::vector<SectionResult> BatchedRuns;
+  for (uint32_t R = 0; R < Repeats; ++R) {
+    SectionResult Run;
+    if (!benchMissDrain(SimThreads, DrainIters, Streams, TracePath, Run))
+      return 1;
+    BatchedRuns.push_back(Run);
   }
-
-  double Speedup = Reference.Median.perSec() > 0.0
-                       ? Batched.Median.perSec() / Reference.Median.perSec()
-                       : 0.0;
-  std::printf("drain speedup (batched / reference, medians): %.2fx\n",
-              Speedup);
+  SectionStats Batched = summarize(std::move(BatchedRuns));
+  report("drain_batched", "misses  ", Batched);
 
   std::string JsonPath = Parser.getString("json");
   if (!JsonPath.empty()) {
@@ -311,7 +292,6 @@ int main(int Argc, const char **Argv) {
                  "  \"sim_threads\": %u,\n"
                  "  \"repeats\": %u,\n"
                  "  \"host_hardware_threads\": %u,\n"
-                 "  \"numa_nodes\": %u,\n"
                  "  \"git_sha\": \"%s\",\n"
                  "  \"compiler\": \"%s\",\n"
                  "  \"cpu_model\": \"%s\",\n"
@@ -325,17 +305,13 @@ int main(int Argc, const char **Argv) {
                  "    \"max_per_sec\": %.0f\n"
                  "  },\n"
                  "  \"miss_drain\": {\n"
-                 "    \"reference\": {\"misses\": %llu, \"wall_ms\": %.3f, "
-                 "\"misses_per_sec\": %.0f, \"min_per_sec\": %.0f, "
-                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f},\n"
                  "    \"batched\": {\"misses\": %llu, \"wall_ms\": %.3f, "
                  "\"misses_per_sec\": %.0f, \"min_per_sec\": %.0f, "
-                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f},\n"
-                 "    \"speedup\": %.3f\n"
+                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f}\n"
                  "  }\n"
                  "}\n",
                  Quick ? "true" : "false", SimThreads, Repeats,
-                 Topo.hardwareThreads(), Topo.numNodes(),
+                 HostThreads,
                  support::gitSha(), support::compilerId(),
                  support::cpuModel().c_str(),
                  static_cast<unsigned long long>(support::peakRssBytes()),
@@ -343,14 +319,10 @@ int main(int Argc, const char **Argv) {
                  Tracked.Median.WallMs, Tracked.Median.perSec(),
                  Tracked.Min.perSec(), Tracked.Median.perSec(),
                  Tracked.Max.perSec(),
-                 static_cast<unsigned long long>(Reference.Median.Events),
-                 Reference.Median.WallMs, Reference.Median.perSec(),
-                 Reference.Min.perSec(), Reference.Median.perSec(),
-                 Reference.Max.perSec(),
                  static_cast<unsigned long long>(Batched.Median.Events),
                  Batched.Median.WallMs, Batched.Median.perSec(),
                  Batched.Min.perSec(), Batched.Median.perSec(),
-                 Batched.Max.perSec(), Speedup);
+                 Batched.Max.perSec());
     std::fclose(Out);
     std::printf("results written to %s\n", JsonPath.c_str());
   }

@@ -5,14 +5,11 @@
 #include "obs/RingLog.h"
 #include "obs/StatsSocket.h"
 #include "obs/TimeSeries.h"
-#include "fault/FaultInjection.h"
 #include "obs/Trace.h"
-#include "sim/SimdProbe.h"
 #include "sim/Tlb.h"
 #include "support/Logging.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -26,21 +23,6 @@ using namespace atmem::core;
 thread_local Runtime::ContextBinding Runtime::Bound;
 
 namespace {
-
-/// Topology detection is a perf hint with a graceful degradation path: a
-/// fired probe fault (or a genuinely broken sysfs read) falls back to the
-/// single-node layout, which every consumer must treat as
-/// placement-equivalent. The site lives here rather than in
-/// support::Topology because the support library sits below fault/obs in
-/// the layering.
-fault::Site TopologyProbeFault("drain.topology_probe");
-
-void countTopologyProbeFailed() {
-  if (obs::enabled()) {
-    static obs::Counter Failed("topology.probe_failed");
-    Failed.add(1);
-  }
-}
 
 void countRetry() {
   if (obs::enabled()) {
@@ -210,31 +192,6 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
       Pool(Config.Machine.Migration.CopyThreads),
       Profiler(Registry, Config.Profiler), AtmemMig(Registry, Pool),
       MbindMig(Registry) {
-  // One topology probe per runtime, never per drain: the cached layout
-  // and host-thread count feed every drain gate from here on. A failed
-  // (or fault-injected) probe degrades to the single-node layout —
-  // topology is a locality hint, never a correctness input, so the
-  // degraded runtime places bit-identically.
-  bool ProbeOk = true;
-  if (Config.TopologyOverride) {
-    Topo = *Config.TopologyOverride;
-  } else if (TopologyProbeFault.shouldFail()) {
-    Topo = support::Topology::singleNode();
-    ProbeOk = false;
-  } else {
-    Topo = support::Topology::detect(&ProbeOk);
-  }
-  if (!ProbeOk) {
-    countTopologyProbeFailed();
-    logInfo("topology probe failed; using single-node layout");
-  }
-  HostThreads = Config.HostThreadsOverride
-                    ? Config.HostThreadsOverride
-                    : std::max(1u, Topo.hardwareThreads());
-  if (obs::enabled()) {
-    static obs::Gauge Nodes("numa.nodes");
-    Nodes.set(Topo.numNodes());
-  }
   if (Config.SimThreads > 1) {
     // Each thread's shard models its partition of the shared LLC; never
     // shrink below one fully associative set.
@@ -244,27 +201,8 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
                            static_cast<uint64_t>(Shard.Ways) * Shard.LineBytes);
     Contexts.reserve(Config.SimThreads);
     for (uint32_t T = 0; T < Config.SimThreads; ++T)
-      Contexts.push_back(std::make_unique<SimContext>(
-          Shard, Topo.nodeOfShard(T, Config.SimThreads)));
-    // On multi-node hosts each kernel worker is pinned to its shard's
-    // home node before taking work, so the shard's miss buffer, recycle
-    // pool, and attribution-index replica are first-touch allocated
-    // node-locally. Pinning is best-effort (mocked topologies name cpus
-    // the host may lack) and never affects results.
-    mem::ThreadPool::WorkerInit Init;
-    if (Topo.multiNode()) {
-      auto PinSets = std::make_shared<std::vector<std::vector<int>>>();
-      PinSets->reserve(Config.SimThreads);
-      for (uint32_t T = 0; T < Config.SimThreads; ++T)
-        PinSets->push_back(
-            Topo.nodeCpus(Topo.nodeOfShard(T, Config.SimThreads)));
-      Init = [PinSets](uint32_t Worker) {
-        if (Worker < PinSets->size())
-          support::pinThreadToCpus((*PinSets)[Worker]);
-      };
-    }
-    KernelPool =
-        std::make_unique<mem::ThreadPool>(Config.SimThreads, std::move(Init));
+      Contexts.push_back(std::make_unique<SimContext>(Shard));
+    KernelPool = std::make_unique<mem::ThreadPool>(Config.SimThreads);
   }
   if (Config.Telemetry.Enabled || Config.Telemetry.anyOutput())
     obs::setEnabled(true);
@@ -1008,188 +946,35 @@ double Runtime::endIteration() {
 void Runtime::mergeContexts() {
   if (Contexts.empty())
     return;
-  if (Config.BatchedDrain)
-    drainBatched();
-  else
-    drainReference();
-}
-
-void Runtime::drainReference() {
-  // Pre-optimization drain, preserved verbatim: one profiler countdown
-  // step, one trace append, and one uncached page-table walk per miss.
-  for (auto &Ctx : Contexts) {
-    Stats += Ctx->stats();
-    Ctx->stats() = sim::AccessStats();
-    for (uint64_t Va : Ctx->missBuffer()) {
-      Profiler.notifyMissReference(Va);
-      if (MissTrace)
-        MissTrace->record(Va);
-      if (ReplayTlb)
-        replayTlbAccessUncached(Va);
-    }
-    Ctx->recycleMissBuffer();
-  }
-}
-
-void Runtime::drainBatched() {
-  // Stage 1 — merge shard stats in thread-index order and pre-scan the
-  // buffers for samples. Sample *selection* depends only on the miss
-  // order (attribution never feeds back into it), so the buffers'
-  // concatenation order fully determines which misses are chosen.
+  // Merge shard stats in thread-index order and select the samples.
+  // Selection depends only on the miss order (attribution never feeds
+  // back into it), so the buffers' concatenation order fully determines
+  // which misses are chosen.
   PendingScratch.clear();
-  size_t TotalMisses = 0;
   for (auto &Ctx : Contexts) {
     Stats += Ctx->stats();
     Ctx->stats() = sim::AccessStats();
-    TotalMisses += Ctx->missBuffer().size();
+    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
+    Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
   }
 
-  // Cross-node drain accounting: buffers were first-touched on their
-  // shard's home node, so every byte a differently-homed thread drains
-  // is remote traffic — the quantity NUMA sharding exists to shrink.
-  if (obs::enabled() && Topo.multiNode()) {
-    static obs::Counter RemoteBytes("numa.remote_drain_bytes");
-    static obs::Counter LocalBytes("numa.local_drain_bytes");
-    uint32_t DrainNode = Topo.nodeOfCpu(support::currentCpu());
-    uint64_t Remote = 0, Local = 0;
-    for (auto &Ctx : Contexts)
-      (Ctx->homeNode() == DrainNode ? Local : Remote) +=
-          Ctx->missBuffer().size() * sizeof(uint64_t);
-    if (Local)
-      LocalBytes.add(Local);
-    if (Remote)
-      RemoteBytes.add(Remote);
-  }
-
-  // The countdown advance is associative over a buffer: the state after
-  // scanning N misses depends only on N (advanceSelection computes it in
-  // O(period doublings)). So each shard's start state is computed
-  // serially for pennies, the per-shard scans run concurrently on the
-  // kernel pool — each shard scanned by one worker, ideally the one
-  // pinned to the buffer's home node — and the selections are spliced in
-  // thread-index order. Bit-identical to the serial scan by
-  // construction; small drains and single-core hosts keep the serial
-  // path.
-  bool ParallelSelect = Profiler.isActive() && KernelPool &&
-                        HostThreads > 1 && Contexts.size() > 1 &&
-                        TotalMisses >= Config.ParallelSelectionThreshold;
-  if (ParallelSelect) {
-    size_t NumShards = Contexts.size();
-    SelStateScratch.resize(NumShards);
-    SelScratch.resize(NumShards);
-    prof::SelectionState End = Profiler.selectionState();
-    for (size_t I = 0; I < NumShards; ++I) {
-      SelStateScratch[I] = End;
-      Profiler.advanceSelection(End, Contexts[I]->missBuffer().size());
-    }
-    KernelPool->parallelForThreaded(
-        0, NumShards, 1, [&](uint32_t, uint64_t Begin, uint64_t EndShard) {
-          for (uint64_t I = Begin; I < EndShard; ++I) {
-            SelScratch[I].clear();
-            const std::vector<uint64_t> &Buf = Contexts[I]->missBuffer();
-            Profiler.selectSamplesFrom(SelStateScratch[I], Buf.data(),
-                                       Buf.size(), SelScratch[I]);
-          }
-        });
-    // The last shard's scanned end state must land exactly on the
-    // arithmetic advance (fuzzed in the equivalence suite too).
-    assert(SelStateScratch.back() == End &&
-           "arithmetic selection advance diverged from the scan");
-    Profiler.commitSelectionState(End);
-    for (size_t I = 0; I < NumShards; ++I)
-      PendingScratch.insert(PendingScratch.end(), SelScratch[I].begin(),
-                            SelScratch[I].end());
-  } else {
-    for (auto &Ctx : Contexts) {
-      const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-      Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
-    }
-  }
-
-  // Stage 4 launch — on multi-core hosts the TLB replay runs overlapped
-  // with stages 2-3: replay touches only ReplayTlb/ReplayCache and its
-  // own scratch, attribution/commit touch only registry and profiler
-  // state, and both sides just read the miss buffers. Joined before
-  // stage 5 donates the buffers. Single-core hosts (and small drains)
-  // keep today's serial order.
-  std::thread ReplayThread;
-  bool OverlapReplay = ReplayTlb && Config.OverlapTlbReplay &&
-                       HostThreads > 1 &&
-                       TotalMisses >= Config.ParallelSelectionThreshold;
-  if (OverlapReplay)
-    ReplayThread = std::thread([this] { replayTlbBatched(); });
-
-  // Stage 2 — attribute the selected samples to (object, chunk). Each
-  // sample's result is a pure function of its address, so fanning the
-  // lookups across the kernel pool cannot change any outcome; below the
-  // threshold (or on a single-core host, where pool dispatch just
-  // context-switches) the serial loop is cheaper than the fan-out.
-  AttrScratch.assign(PendingScratch.size(), AttributedSample{});
-  if (KernelPool && HostThreads > 1 &&
-      PendingScratch.size() >= Config.ParallelAttributionThreshold) {
-    // Hints persist across drains (warm starting points); each worker
-    // owns one slot, so reuse is race-free.
-    AttrHintScratch.resize(KernelPool->threadCount());
-    // On multi-node hosts each participant attributes against its own
-    // replica of the interval index, copied by the pinned worker itself
-    // (first touch = node-local) and revalidated with one version
-    // compare. The replica is byte-equal to the shared index, so results
-    // cannot differ; single-node hosts keep reading the shared one.
-    bool UseReplicas = Topo.multiNode();
-    if (UseReplicas)
-      NodeAttr.resize(KernelPool->threadCount());
-    uint64_t IndexVersion = Registry.attributionIndexVersion();
-    const std::vector<mem::DataObjectRegistry::AttrInterval> &SharedIndex =
-        Registry.attributionIndex();
-    uint64_t Chunk = std::max<uint64_t>(
-        PendingScratch.size() / AttrHintScratch.size() / 4, 256);
-    KernelPool->parallelForThreaded(
-        0, PendingScratch.size(), Chunk,
-        [&](uint32_t Tid, uint64_t Begin, uint64_t End) {
-          const mem::DataObjectRegistry::AttrInterval *Index =
-              SharedIndex.data();
-          size_t IndexCount = SharedIndex.size();
-          if (UseReplicas) {
-            NodeAttrReplica &Replica = NodeAttr[Tid];
-            if (Replica.Version != IndexVersion) {
-              Replica.Index = SharedIndex;
-              Replica.Version = IndexVersion;
-            }
-            Index = Replica.Index.data();
-            IndexCount = Replica.Index.size();
-          }
-          mem::AttributionHint &Hint = AttrHintScratch[Tid];
-          for (uint64_t I = Begin; I < End; ++I)
-            AttrScratch[I].Ok = mem::DataObjectRegistry::attributeWithIndex(
-                Index, IndexCount, PendingScratch[I].Va, AttrScratch[I].Attr,
-                Hint);
-        });
-  } else {
-    for (size_t I = 0; I < PendingScratch.size(); ++I)
-      AttrScratch[I].Ok = Registry.attributeIndexed(
-          PendingScratch[I].Va, AttrScratch[I].Attr, SerialAttrHint);
-  }
-
-  // Stage 3 — serial commit in selection order. Floating-point profile
+  // Attribute and commit in selection order: floating-point profile
   // accumulation happens in exactly the per-miss order, keeping results
-  // bit-identical to the reference drain.
-  for (size_t I = 0; I < PendingScratch.size(); ++I)
-    Profiler.commitSample(PendingScratch[I], AttrScratch[I].Ok != 0,
-                          AttrScratch[I].Attr);
+  // bit-identical to the inline notifyMiss() path.
+  for (const prof::PendingSample &S : PendingScratch) {
+    mem::Attribution Attr;
+    bool Attributed = Registry.attributeIndexed(S.Va, Attr, AttrHint);
+    Profiler.commitSample(S, Attributed, Attr);
+  }
 
-  // Stage 4 — TLB replay: overlapped thread joins here, otherwise run it
-  // now (today's serial order).
-  if (ReplayThread.joinable())
-    ReplayThread.join();
-  else if (ReplayTlb)
+  if (ReplayTlb)
     replayTlbBatched();
 
-  // Stage 5 — trace hand-off and buffer recycling. The miss buffers are
-  // donated to the trace writer's spill thread zero-copy, in thread-index
-  // order (the same order the synchronous recordBatch calls used, so the
-  // file bytes are unchanged); each context gets a drained segment back.
-  // This runs after the TLB replay because the replay still reads the
-  // buffers; the trace content itself depends on nothing downstream.
+  // Trace hand-off and buffer recycling. The miss buffers are donated to
+  // the trace writer's spill thread zero-copy, in thread-index order (the
+  // same order synchronous recordBatch calls would use, so the file bytes
+  // are unchanged); each context gets a drained segment back. This runs
+  // after the TLB replay because the replay still reads the buffers.
   for (auto &Ctx : Contexts) {
     if (MissTrace && !Ctx->missBuffer().empty())
       MissTrace->recordBatchOwned(
@@ -1203,7 +988,6 @@ void Runtime::replayTlbBatched() {
   if (!ReplayCache)
     ReplayCache = std::make_unique<sim::TranslationCache>(M.pageTable());
   sim::TranslationCache &Cache = *ReplayCache;
-  sim::Tlb &Tlb = *ReplayTlb;
   // The page table cannot mutate while we replay, so the epoch check
   // runs once here instead of per miss, and the loop needs only the
   // page size — not the reconstructed frame — from the cache.
@@ -1211,90 +995,31 @@ void Runtime::replayTlbBatched() {
   // Huge-page run skip: a 2 MiB VA region is uniformly mapped (one huge
   // page or 512 small ones), so once a miss resolves huge, every
   // following miss in the same 2 MiB frame shares that translation —
-  // one translation per run instead of one per miss.
-  //
-  // The replay is software-pipelined at block granularity. Per block:
-  // derive every miss's huge VPN with one SIMD shift pass, then
-  // gather-probe the translation cache for all of them at once — the
-  // probes are independent random loads over a 64 KiB slot array, so
-  // batching lets their cache misses overlap each other and the TLB
-  // accesses of the *previous* runs instead of serializing
-  // probe → access → probe per miss; a prefetch starts the next run's
-  // TLB set row while the current access retires. A block-start hint can
-  // only be stale in the safe direction: a hit means the region WAS
-  // cached huge under a quiescent table, so it is truly huge-mapped and
-  // the verdict (huge-array access with this VPN) is exactly what the
-  // sequential probe would produce; a stale miss falls through to the
-  // same probe-then-translate path as before. TLB verdicts, counters,
-  // and LRU state are therefore bit-identical to the unpipelined loop —
-  // only the translation cache's internal diagnostics can differ.
-  sim::TlbArray &HugeTlb = Tlb.hugeArray();
-  sim::TlbArray &SmallTlb = Tlb.smallArray();
+  // one translation per run instead of one per miss. TLB verdicts,
+  // counters and LRU state are exactly those of a per-miss
+  // PageTable::translate → Tlb::access replay.
+  sim::TlbArray &HugeTlb = ReplayTlb->hugeArray();
+  sim::TlbArray &SmallTlb = ReplayTlb->smallArray();
   uint64_t RunHugeVpn = ~0ull;
-
-  // The pipeline's derive/probe passes only pay once the probe working
-  // set (one huge slot per mapped 2 MiB) outgrows L1 and scalar probes
-  // start stalling; small working sets keep the slots cache-hot, so the
-  // single-pass run-skip loop below is strictly cheaper there. Both
-  // paths leave bit-identical TLB state (the gate is a pure perf
-  // choice), measured at the crossover in RuntimeConfig's knob comment.
-  bool GatherReplay =
-      Registry.totalMappedBytes() >= Config.GatherReplayMinMappedBytes;
-  if (!GatherReplay) {
-    for (auto &Ctx : Contexts)
-      for (uint64_t Va : Ctx->missBuffer()) {
-        uint64_t HugeVpn = Va >> 21;
-        if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Va, PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Va);
-        }
+  for (auto &Ctx : Contexts)
+    for (uint64_t Va : Ctx->missBuffer()) {
+      uint64_t HugeVpn = Va >> 21;
+      if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+        continue;
       }
-    return;
-  }
-
-  constexpr size_t BlockMisses = 4096;
-  for (auto &Ctx : Contexts) {
-    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-    for (size_t Base = 0; Base < Buf.size(); Base += BlockMisses) {
-      size_t N = std::min(BlockMisses, Buf.size() - Base);
-      VpnScratch.resize(N);
-      HugeHintScratch.resize(N);
-      sim::batchShiftRight(Buf.data() + Base, N, 21, VpnScratch.data());
-      Cache.probeHugeBatch(VpnScratch.data(), N, HugeHintScratch.data());
-      for (size_t I = 0; I < N; ++I) {
-        uint64_t HugeVpn = VpnScratch[I];
-        if (I + 1 < N && VpnScratch[I + 1] != HugeVpn)
-          HugeTlb.prefetchVpn(VpnScratch[I + 1]);
-        if (HugeVpn == RunHugeVpn || HugeHintScratch[I] ||
-            Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Buf[Base + I], PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Buf[Base + I]);
-        }
+      uint64_t PageBytes;
+      if (!Cache.translatePageBytes(Va, PageBytes))
+        continue;
+      if (PageBytes == sim::HugePageBytes) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+      } else {
+        RunHugeVpn = ~0ull;
+        SmallTlb.access(Va);
       }
     }
-  }
 }
 
 double Runtime::fastDataRatio() const {
@@ -1310,12 +1035,6 @@ void Runtime::replayTlbAccess(uint64_t Va) {
     ReplayCache = std::make_unique<sim::TranslationCache>(M.pageTable());
   sim::Translation T;
   if (ReplayCache->translate(Va, T))
-    ReplayTlb->access(Va, T.PageBytes);
-}
-
-void Runtime::replayTlbAccessUncached(uint64_t Va) {
-  sim::Translation T;
-  if (M.pageTable().translate(Va, T))
     ReplayTlb->access(Va, T.PageBytes);
 }
 

@@ -33,7 +33,6 @@
 #include "profiler/TraceFile.h"
 #include "sim/Machine.h"
 #include "sim/TranslationCache.h"
-#include "support/Topology.h"
 
 #include <chrono>
 #include <functional>
@@ -140,47 +139,6 @@ struct RuntimeConfig {
   /// each thread a private LLC shard of SizeBytes / T plus private stats
   /// and miss buffers, merged deterministically at endIteration().
   uint32_t SimThreads = 1;
-  /// Drains buffered shard misses through the batched pipeline: arithmetic
-  /// sample pre-selection, bulk trace append, parallel indexed attribution,
-  /// and cached TLB-replay translation. false selects the reference
-  /// per-miss drain (per-event countdown, linear attribution walk, uncached
-  /// page-table translation) — observably identical results, kept as the
-  /// equivalence-suite oracle and the perf baseline.
-  bool BatchedDrain = true;
-  /// Pending samples below which the batched drain's stage-2 attribution
-  /// stays serial: fan-out pays two pool rendezvous, so small drains are
-  /// faster inline. Was a buried constant before it became a knob.
-  uint64_t ParallelAttributionThreshold = 8192;
-  /// Total buffered misses below which the batched drain keeps stage 1's
-  /// sample pre-scan serial and stage 4's TLB replay on the draining
-  /// thread (the overlap thread and the per-shard scan fan-out only pay
-  /// off once the buffers dwarf their setup cost).
-  uint64_t ParallelSelectionThreshold = 1u << 16;
-  /// Runs stage 4 (TLB replay) on its own thread overlapped with stages
-  /// 2-3 (attribution + commit) on multi-core hosts: the two touch
-  /// disjoint state and both only read the miss buffers. Results are
-  /// bit-identical either way; single-core hosts ignore this.
-  bool OverlapTlbReplay = true;
-  /// Registry mapped bytes at or above which stage 4 replays through the
-  /// block-pipelined gather-probe path. The gather only pays when the
-  /// translation cache's probe working set — one 16-byte huge slot per
-  /// mapped 2 MiB region — outgrows L1 and random scalar probes start
-  /// stalling; below that the slots stay cache-hot and the extra
-  /// derive/probe passes are pure overhead, so small working sets keep
-  /// the single-pass run-skip loop. 4 GiB mapped is the 2048-slot
-  /// (32 KiB) crossover. Both paths produce bit-identical TLB state;
-  /// tests pin 0 (always gather) and ~0 (never) to cover each.
-  uint64_t GatherReplayMinMappedBytes = 4ull << 30;
-  /// Cached host-parallelism override: 0 probes the topology once at
-  /// construction (the value every drain-gate then reuses — never
-  /// std::thread::hardware_concurrency() per drain). Tests set it >1 to
-  /// force the parallel drain paths on small hosts.
-  uint32_t HostThreadsOverride = 0;
-  /// Topology override for tests (mocked multi-node layouts, forced
-  /// single-node); null probes sysfs once at construction. Placement
-  /// results are bit-identical under every topology — only locality and
-  /// counters change.
-  std::shared_ptr<const support::Topology> TopologyOverride;
   /// Lookahead migration scheduling and adaptive epoch back-off.
   LookaheadOptions Lookahead;
   /// Telemetry collection and export. Constructing a Runtime with
@@ -349,13 +307,6 @@ public:
   /// Config.Lookahead.Enabled is false).
   const LookaheadStats &lookaheadStats() const { return LkStats; }
 
-  /// Host memory topology captured at construction (the override, the
-  /// sysfs probe, or the degraded single-node fallback).
-  const support::Topology &topology() const { return Topo; }
-
-  /// Host threads cached at construction; every drain gate reads this.
-  uint32_t hostThreads() const { return HostThreads; }
-
   sim::Machine &machine() { return M; }
   mem::DataObjectRegistry &registry() { return Registry; }
   prof::SamplingProfiler &profiler() { return Profiler; }
@@ -367,10 +318,6 @@ private:
   /// Replays \p Va against the TLB through the epoch-validated translation
   /// cache (identical verdicts to a direct page-table walk).
   void replayTlbAccess(uint64_t Va);
-
-  /// Reference replay path: a direct page-table walk per miss, as the
-  /// pre-batching runtime did. Used by the BatchedDrain=false drain.
-  void replayTlbAccessUncached(uint64_t Va);
 
   /// Migrates fast-resident chunks that LastPlan no longer selects back
   /// to the slow tier (the adaptive re-optimization path).
@@ -392,24 +339,14 @@ private:
                      sim::TierId Target,
                      const std::vector<double> *Priorities);
 
-  /// Merges shard stats into Stats and replays buffered misses through
-  /// the profiler / trace / TLB consumers, in thread-index order. With
-  /// Config.BatchedDrain this runs the staged pipeline (select →
-  /// attribute in parallel → commit in order); otherwise the reference
-  /// per-miss loop.
+  /// The shard drain: merges shard stats into Stats and replays buffered
+  /// misses through the profiler / trace / TLB consumers, in thread-index
+  /// order (select samples → attribute and commit them in order → replay
+  /// the TLB → hand the buffers to the trace writer or recycle them).
   void mergeContexts();
-
-  /// Batched drain stages over the per-context miss buffers.
-  void drainBatched();
-  /// Stage 4 of the batched drain: block-pipelined TLB replay over every
-  /// shard buffer (batched VPN derivation, gather-probed translation
-  /// hints, run skip). Touches only ReplayTlb/ReplayCache and the
-  /// VpnScratch/HugeHintScratch members plus read-only miss buffers, so
-  /// drainBatched may run it on a separate thread overlapped with stages
-  /// 2-3.
+  /// TLB replay over every shard buffer in thread-index order, resolving
+  /// each 2 MiB run of huge-mapped misses with one translation.
   void replayTlbBatched();
-  /// Reference per-miss drain (pre-optimization behaviour).
-  void drainReference();
 
   /// \name Lookahead pipeline steps (no-ops while Lookahead is disabled)
   /// @{
@@ -463,45 +400,12 @@ private:
   /// Direct-mapped translation cache for TLB replay, built lazily on
   /// first use (only when a replay TLB is attached).
   std::unique_ptr<sim::TranslationCache> ReplayCache;
-  /// One sample's parallel attribution result, committed serially.
-  struct AttributedSample {
-    mem::Attribution Attr;
-    uint8_t Ok = 0;
-  };
-  /// Reused drain scratch (selection and attribution stages).
+  /// Reused drain scratch: the samples selected from the shard buffers.
   std::vector<prof::PendingSample> PendingScratch;
-  std::vector<AttributedSample> AttrScratch;
-  /// Attribution hint state recycled across drains: graph iterations miss
-  /// in the same objects, so last drain's hints start warm instead of
-  /// re-walking the registry index from cold every batch.
-  mem::AttributionHint SerialAttrHint;
-  std::vector<mem::AttributionHint> AttrHintScratch;
-  /// \name Topology-sharded drain state
-  /// @{
-  /// Host topology captured once at construction (override, probe, or
-  /// degraded single-node fallback) and the cached host thread count.
-  support::Topology Topo;
-  uint32_t HostThreads = 1;
-  /// Per-shard selection states / outputs of the parallel stage-1
-  /// pre-scan (spliced into PendingScratch in shard order).
-  std::vector<prof::SelectionState> SelStateScratch;
-  std::vector<std::vector<prof::PendingSample>> SelScratch;
-  /// Stage-4 block scratch: a block's VPNs and its gather-probed
-  /// cached-huge hints. Only the replay stage touches these (see
-  /// replayTlbBatched's overlap contract).
-  std::vector<uint64_t> VpnScratch;
-  std::vector<uint8_t> HugeHintScratch;
-  /// One participant's node-local copy of the registry's attribution
-  /// index, refreshed lazily (by the pinned worker itself, so the copy is
-  /// first-touched on its node) when the registry's version moves. Used
-  /// only on multi-node hosts; single-node drains read the shared index
-  /// as before. Padded so neighbouring participants don't false-share.
-  struct alignas(64) NodeAttrReplica {
-    std::vector<mem::DataObjectRegistry::AttrInterval> Index;
-    uint64_t Version = ~0ull;
-  };
-  std::vector<NodeAttrReplica> NodeAttr;
-  /// @}
+  /// Attribution hint recycled across drains: graph iterations miss in the
+  /// same objects, so last drain's hint starts warm instead of re-walking
+  /// the registry index from cold every batch.
+  mem::AttributionHint AttrHint;
   /// \name Lookahead state (untouched while Config.Lookahead.Enabled is
   /// false, so the disabled runtime is byte-identical to one predating
   /// the subsystem)

@@ -37,9 +37,8 @@ struct Attribution {
 /// last address landed in. Sampled misses are heavily clustered by object,
 /// so the memo turns most attributions into a bounds check. Each
 /// attributing thread owns its own hint — the registry never writes shared
-/// state on lookups. Padded to a cache line so per-thread hints packed in
-/// an array don't false-share.
-struct alignas(64) AttributionHint {
+/// state on lookups.
+struct AttributionHint {
   uint32_t Slot = ~0u;
 };
 
@@ -54,17 +53,6 @@ enum class InitialPlacement {
 /// Creates, maps, looks up, and destroys data objects on one machine.
 class DataObjectRegistry {
 public:
-  /// One live object's address range, denormalized for attribution.
-  /// Public so NUMA-sharded drains can keep node-local replicas of the
-  /// index (attributeWithIndex) instead of pulling every lookup through
-  /// one socket's cache lines.
-  struct AttrInterval {
-    uint64_t Begin = 0; ///< Object VA.
-    uint64_t End = 0;   ///< Object VA + mapped bytes.
-    ObjectId Object = 0;
-    uint32_t ChunkShift = 0;
-  };
-
   explicit DataObjectRegistry(sim::Machine &M) : M(M) {}
 
   /// Registers an object of \p SizeBytes named \p Name. Chunk size is
@@ -86,39 +74,14 @@ public:
   /// Unmaps and destroys the object identified by \p Id.
   void destroy(ObjectId Id);
 
-  /// Resolves a simulated virtual address to its object and chunk.
-  /// Returns false for addresses outside every live object. This is the
-  /// linear reference walk; the batched pipeline uses attributeIndexed(),
-  /// which returns identical results (objects never overlap).
-  bool attribute(uint64_t Va, Attribution &Out) const;
-
-  /// O(log objects) attribution over a sorted interval index that is
-  /// rebuilt on create/destroy, with an O(1) last-hit fast path through
-  /// \p Hint. Safe to call concurrently from many threads (each with its
-  /// own hint) as long as no object is created or destroyed meanwhile.
+  /// Resolves a simulated virtual address to its object and chunk;
+  /// returns false for addresses outside every live object. O(log objects)
+  /// over a sorted interval index that is rebuilt on create/destroy, with
+  /// an O(1) last-hit fast path through \p Hint. Safe to call concurrently
+  /// from many threads (each with its own hint) as long as no object is
+  /// created or destroyed meanwhile.
   bool attributeIndexed(uint64_t Va, Attribution &Out,
                         AttributionHint &Hint) const;
-
-  /// attributeIndexed() against a caller-supplied copy of the interval
-  /// index. Per-node replicas of the index (copied while the registry is
-  /// quiescent, validated via attributionIndexVersion()) give identical
-  /// results — the lookup touches only \p Index and \p Hint.
-  static bool attributeWithIndex(const AttrInterval *Index, size_t Count,
-                                 uint64_t Va, Attribution &Out,
-                                 AttributionHint &Hint);
-
-  /// \name Attribution-index snapshot access
-  /// The sorted interval index and its rebuild count. The version bumps
-  /// on every create/destroy, so replica holders can revalidate with one
-  /// integer compare; the span stays valid (and the version stable) while
-  /// no object is created or destroyed — the same quiescence
-  /// attributeIndexed() already requires.
-  ///@{
-  uint64_t attributionIndexVersion() const { return AttrIndexVersion; }
-  const std::vector<AttrInterval> &attributionIndex() const {
-    return AttrIndex;
-  }
-  ///@}
 
   DataObject &object(ObjectId Id);
   const DataObject &object(ObjectId Id) const;
@@ -144,6 +107,14 @@ public:
   }
 
 private:
+  /// One live object's address range, denormalized for attribution.
+  struct AttrInterval {
+    uint64_t Begin = 0; ///< Object VA.
+    uint64_t End = 0;   ///< Object VA + mapped bytes.
+    ObjectId Object = 0;
+    uint32_t ChunkShift = 0;
+  };
+
   void rebuildAttributionIndex();
 
   sim::Machine &M;
@@ -153,8 +124,6 @@ private:
   /// Live-object ranges sorted by Begin (ranges are disjoint — the
   /// address space never reuses or overlaps allocations).
   std::vector<AttrInterval> AttrIndex;
-  /// Bumped on every rebuild; lets replicas revalidate cheaply.
-  uint64_t AttrIndexVersion = 0;
 };
 
 } // namespace mem

@@ -49,33 +49,13 @@ struct ProfilerConfig {
   double SampleCostSec = 250e-9;
 };
 
-/// A miss selected for sampling by the batched pre-scan, not yet
+/// A miss selected for sampling by selectSamples(), not yet
 /// attributed to an (object, chunk). PeriodInForce is the period at the
 /// moment of selection — each sample is weighted by it, which keeps the
 /// miss estimates unbiased across budget-driven period doubling.
 struct PendingSample {
   uint64_t Va = 0;
   uint64_t PeriodInForce = 0;
-};
-
-/// The complete sampling-countdown state as a value. Selection depends
-/// only on miss *order*, and this state advances deterministically with
-/// the number of misses scanned — never their contents — so a drain can
-/// compute each shard's start state arithmetically (advanceSelection),
-/// scan all shards' buffers concurrently (selectSamplesFrom), and splice
-/// the selections in shard order for a result bit-identical to one
-/// serial scan.
-struct SelectionState {
-  uint64_t Countdown = 0;
-  uint64_t Period = 0;
-  uint64_t SamplesTaken = 0;
-  uint64_t MissesSeen = 0;
-
-  bool operator==(const SelectionState &O) const {
-    return Countdown == O.Countdown && Period == O.Period &&
-           SamplesTaken == O.SamplesTaken && MissesSeen == O.MissesSeen;
-  }
-  bool operator!=(const SelectionState &O) const { return !(*this == O); }
 };
 
 /// Sampling profiler over the simulated miss stream.
@@ -105,66 +85,19 @@ public:
     Countdown = Period;
   }
 
-  /// Batched equivalent of calling notifyMiss() on each of \p N misses in
-  /// order, with identical observable state afterwards. The countdown
-  /// advances arithmetically in Period-sized strides instead of
-  /// decrementing per miss, and attribution goes through the registry's
-  /// interval index.
-  void notifyMissBatch(const uint64_t *Vas, size_t N);
-
-  /// Reference per-miss drain: the pre-optimization path (per-event
-  /// countdown, linear registry walk). Kept so the equivalence suite and
-  /// the micro benchmark can compare the batched pipeline against the
-  /// original behaviour byte for byte.
-  void notifyMissReference(uint64_t Va);
-
-  /// Stage 1 of the batched drain: advances the sampling state over \p N
-  /// ordered misses and appends the selected samples to \p Out without
-  /// attributing them. Selection depends only on miss order — never on
-  /// attribution results — which is what lets stage 2 run in parallel.
+  /// Drain-side equivalent of calling notifyMiss() on each of \p N
+  /// ordered misses, minus attribution: advances the sampling state and
+  /// appends the selected samples to \p Out. The countdown advances in
+  /// Period-sized strides instead of decrementing per miss. Selection
+  /// depends only on miss order — never on attribution results — so the
+  /// caller attributes and commits the samples afterwards.
   void selectSamples(const uint64_t *Vas, size_t N,
                      std::vector<PendingSample> &Out);
 
-  /// \name Split selection for the sharded pre-scan
-  /// selectSamples() == selectionState() + selectSamplesFrom() +
-  /// commitSelectionState(); the split form lets the batched drain scan
-  /// shard buffers concurrently from precomputed start states.
-  ///@{
-
-  /// Current countdown state as a value.
-  SelectionState selectionState() const {
-    return {Countdown, Period, SamplesTaken, MissesSeen};
-  }
-
-  /// Installs \p S as the profiler's countdown state (the state after the
-  /// last shard, once a sharded pre-scan spliced its selections).
-  void commitSelectionState(const SelectionState &S) {
-    Countdown = S.Countdown;
-    Period = S.Period;
-    SamplesTaken = S.SamplesTaken;
-    MissesSeen = S.MissesSeen;
-  }
-
-  /// Advances \p S over \p N misses WITHOUT looking at them — the state
-  /// after a scan depends only on the count. Sample positions within a
-  /// stretch of constant period are an arithmetic progression, so the
-  /// advance costs O(period doublings), not O(N): this is what makes
-  /// per-shard start states cheap to compute serially before the
-  /// parallel scans. Fuzzed against selectSamplesFrom() for equality.
-  void advanceSelection(SelectionState &S, uint64_t N) const;
-
-  /// The selectSamples() scan against caller-owned state: appends the
-  /// samples selected among \p Vas to \p Out and advances \p S exactly as
-  /// notifyMiss() would. Const — safe to run on several states/buffers
-  /// concurrently (SampleBudget is fixed while the profiler is active).
-  void selectSamplesFrom(SelectionState &S, const uint64_t *Vas, size_t N,
-                         std::vector<PendingSample> &Out) const;
-  ///@}
-
-  /// Stage 3 of the batched drain: folds one selected sample into the
-  /// per-chunk profiles. Must be called in selection order (floating-point
-  /// accumulation order is part of the bit-identical contract).
-  /// \p Attributed mirrors the registry lookup result for \p S.Va.
+  /// Folds one selected sample into the per-chunk profiles. Must be
+  /// called in selection order (floating-point accumulation order is part
+  /// of the bit-identical contract). \p Attributed mirrors the registry
+  /// lookup result for \p S.Va.
   void commitSample(const PendingSample &S, bool Attributed,
                     const mem::Attribution &Attr);
 
@@ -209,10 +142,8 @@ private:
   uint32_t Threads = 1;
   /// Indexed by ObjectId; entries sized lazily on first sample.
   std::vector<ObjectProfile> Profiles;
-  /// Last-hit memo for indexed attribution on the serial paths.
+  /// Last-hit memo for indexed attribution on the inline path.
   mem::AttributionHint Hint;
-  /// Reused selection buffer for notifyMissBatch.
-  std::vector<PendingSample> PendingScratch;
 };
 
 } // namespace prof

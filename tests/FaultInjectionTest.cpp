@@ -586,44 +586,6 @@ TEST_F(RuntimeFaultTest, PersistentFaultSkipsThenRenominates) {
   expectInvariants(Rt.registry());
 }
 
-TEST_F(RuntimeFaultTest, TopologyProbeFaultDegradesToSingleNode) {
-  // An injected topology-probe failure must yield the single-node layout
-  // (the pre-topology behaviour), count the fire, and leave placement
-  // results identical to an unfaulted runtime.
-  fault::FaultPlan Plan;
-  Plan.Mode = fault::Trigger::EveryKth;
-  Plan.N = 1;
-  fault::FaultRegistry::instance().arm("drain.topology_probe", Plan);
-  core::RuntimeConfig Config = testConfig();
-  Config.SimThreads = 2;
-  core::Runtime Faulted(Config);
-  fault::FaultRegistry::instance().disarmAll();
-
-  EXPECT_GE(
-      fault::FaultRegistry::instance().fires("drain.topology_probe"), 1u);
-  EXPECT_EQ(Faulted.topology().numNodes(), 1u);
-  EXPECT_FALSE(Faulted.topology().multiNode());
-  EXPECT_GE(Faulted.hostThreads(), 1u);
-  // Every shard homes on the lone node.
-  for (uint32_t T = 0; T < Faulted.simThreads(); ++T)
-    EXPECT_EQ(Faulted.simContext(T).homeNode(), 0u);
-
-  // Topology is a locality hint, never a correctness input: a faulted
-  // runtime and an unfaulted one place the same workload identically.
-  core::Runtime Clean(Config);
-  auto HotF = Faulted.allocate<uint64_t>("hot", 1 << 17);
-  auto HotC = Clean.allocate<uint64_t>("hot", 1 << 17);
-  profiledHotIteration(Faulted, HotF);
-  profiledHotIteration(Clean, HotC);
-  MigrationResult RF = Faulted.optimize();
-  MigrationResult RC = Clean.optimize();
-  EXPECT_EQ(RF.BytesMoved, RC.BytesMoved);
-  EXPECT_EQ(
-      Faulted.registry().object(HotF.objectId()).bytesOn(TierId::Fast),
-      Clean.registry().object(HotC.objectId()).bytesOn(TierId::Fast));
-  expectInvariants(Faulted.registry());
-}
-
 TEST_F(RuntimeFaultTest, UnfaultedOptimizeUnaffectedByFrameworkPresence) {
   // The whole pipeline with nothing armed: byte-identical behaviour is
   // asserted end-to-end by the fig05 gate; here we sanity-check the fast

@@ -127,26 +127,31 @@ TEST_F(RegistryTest, AttributeResolvesObjectAndChunk) {
   DataObject &A = Registry.create("a", 1 << 20, InitialPlacement::Slow);
   DataObject &B = Registry.create("b", 1 << 20, InitialPlacement::Slow);
   Attribution Attr;
-  ASSERT_TRUE(Registry.attribute(A.va() + 5000, Attr));
+  AttributionHint Hint;
+  ASSERT_TRUE(Registry.attributeIndexed(A.va() + 5000, Attr, Hint));
   EXPECT_EQ(Attr.Object, A.id());
   EXPECT_EQ(Attr.Chunk, A.chunkOf(5000));
-  ASSERT_TRUE(Registry.attribute(B.va(), Attr));
+  ASSERT_TRUE(Registry.attributeIndexed(B.va(), Attr, Hint));
   EXPECT_EQ(Attr.Object, B.id());
 }
 
 TEST_F(RegistryTest, AttributeRejectsForeignAddresses) {
   Registry.create("a", 1 << 20, InitialPlacement::Slow);
   Attribution Attr;
-  EXPECT_FALSE(Registry.attribute(0x10, Attr));
+  AttributionHint Hint;
+  EXPECT_FALSE(Registry.attributeIndexed(0x10, Attr, Hint));
 }
 
 TEST_F(RegistryTest, DestroyUnmapsAndForgets) {
   DataObject &Obj = Registry.create("a", 1 << 20, InitialPlacement::Slow);
   uint64_t Va = Obj.va();
   ObjectId Id = Obj.id();
-  Registry.destroy(Id);
   Attribution Attr;
-  EXPECT_FALSE(Registry.attribute(Va, Attr));
+  // A hint warmed on the live object must not resolve it after destroy.
+  AttributionHint Hint;
+  ASSERT_TRUE(Registry.attributeIndexed(Va, Attr, Hint));
+  Registry.destroy(Id);
+  EXPECT_FALSE(Registry.attributeIndexed(Va, Attr, Hint));
   EXPECT_EQ(Registry.liveObjects().size(), 0u);
   EXPECT_EQ(M.allocator(TierId::Slow).usedBytes(), 0u);
 }
