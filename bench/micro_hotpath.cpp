@@ -12,6 +12,11 @@
 ///       accounting) driven by a pseudo-random gather whose footprint
 ///       exceeds the simulated LLC, so the probe's miss side is exercised
 ///       as hard as its hit side;
+///   tracked_access_serial — the serial engine as the gated perfbench
+///       workloads drive it: a CSR-pull-shaped stream (a sequential edge
+///       sweep, a skewed gather per edge, one write per vertex) with the
+///       sampling profiler attached, so hits on the most recently used way
+///       dominate as they do in the shipped kernels;
 ///   miss_drain — the end-of-iteration drain of buffered shard misses
 ///       into the profiler, miss trace, and TLB replay. The bench fails
 ///       when the profiler saw a different number of misses than were
@@ -127,6 +132,54 @@ SectionResult benchTrackedAccess(uint64_t Accesses) {
   if (Sink == 0x5ca1ab1e)
     std::fprintf(stderr, "sink\n");
   return {Accesses, WallMs};
+}
+
+/// Times about \p Accesses tracked accesses of a pull-style sweep on the
+/// serial engine with the sampling profiler attached. Each vertex reads its
+/// 16 edges in order, gathers a property per edge (neighbour ids skewed
+/// towards low vertices, as in power-law graphs) and writes one result.
+SectionResult benchTrackedAccessSerial(uint64_t Accesses) {
+  core::RuntimeConfig Config;
+  Config.Machine = benchMachine();
+  core::Runtime Rt(Config);
+  constexpr uint64_t Vertices = 1u << 18;
+  constexpr uint64_t Degree = 16;
+  constexpr uint64_t Edges = Vertices * Degree;
+  core::TrackedArray<uint32_t> Cols = Rt.allocate<uint32_t>("cols", Edges);
+  core::TrackedArray<uint64_t> Props =
+      Rt.allocate<uint64_t>("props", Vertices);
+  core::TrackedArray<uint64_t> Out = Rt.allocate<uint64_t>("out", Vertices);
+  uint64_t State = 0x13198a2e03707344ull;
+  for (uint64_t E = 0; E < Edges; ++E) {
+    State = State * LcgMul + LcgAdd;
+    uint64_t U = State >> 46; // 18 uniform bits; squaring skews them low.
+    Cols.raw()[E] = static_cast<uint32_t>((U * U) >> 18);
+  }
+  for (uint64_t V = 0; V < Vertices; ++V)
+    Props.raw()[V] = V * LcgMul;
+
+  constexpr uint64_t PerVertex = 2 * Degree + 1;
+  auto Sweep = [&](uint64_t FirstVertex, uint64_t Count) {
+    for (uint64_t I = 0; I < Count; ++I) {
+      uint64_t V = (FirstVertex + I) & (Vertices - 1);
+      uint64_t Sum = 0;
+      for (uint64_t E = V * Degree; E < (V + 1) * Degree; ++E)
+        Sum += Props[Cols[E]];
+      Out[V] = Sum;
+    }
+  };
+
+  Rt.beginIteration();
+  Rt.profilingStart();
+  // Untimed warmup: fault in the arrays and warm the simulated LLC.
+  uint64_t TimedVertices = Accesses / PerVertex;
+  Sweep(0, TimedVertices / 8);
+  double Begin = nowMs();
+  Sweep(TimedVertices / 8, TimedVertices);
+  double WallMs = nowMs() - Begin;
+  Rt.profilingStop();
+  Rt.endIteration();
+  return {TimedVertices * PerVertex, WallMs};
 }
 
 /// Deterministic per-shard miss streams (byte offsets into the gather
@@ -248,7 +301,7 @@ int main(int Argc, const char **Argv) {
 
   auto report = [](const char *Name, const char *Unit,
                    const SectionStats &S) {
-    std::printf("%-16s %12llu %s  median %9.2f ms  %12.0f /s  "
+    std::printf("%-22s %12llu %s  median %9.2f ms  %12.0f /s  "
                 "(min %.0f, max %.0f)\n",
                 Name, static_cast<unsigned long long>(S.Median.Events),
                 Unit, S.Median.WallMs, S.Median.perSec(), S.Min.perSec(),
@@ -260,6 +313,12 @@ int main(int Argc, const char **Argv) {
     TrackedRuns.push_back(benchTrackedAccess(TrackedAccesses));
   SectionStats Tracked = summarize(std::move(TrackedRuns));
   report("tracked_access", "accesses", Tracked);
+
+  std::vector<SectionResult> SerialRuns;
+  for (uint32_t R = 0; R < Repeats; ++R)
+    SerialRuns.push_back(benchTrackedAccessSerial(TrackedAccesses));
+  SectionStats Serial = summarize(std::move(SerialRuns));
+  report("tracked_access_serial", "accesses", Serial);
 
   std::string TracePath = Parser.getString("trace-tmp");
   std::vector<std::vector<uint64_t>> Streams =
@@ -304,6 +363,14 @@ int main(int Argc, const char **Argv) {
                  "    \"median_per_sec\": %.0f,\n"
                  "    \"max_per_sec\": %.0f\n"
                  "  },\n"
+                 "  \"tracked_access_serial\": {\n"
+                 "    \"accesses\": %llu,\n"
+                 "    \"wall_ms\": %.3f,\n"
+                 "    \"accesses_per_sec\": %.0f,\n"
+                 "    \"min_per_sec\": %.0f,\n"
+                 "    \"median_per_sec\": %.0f,\n"
+                 "    \"max_per_sec\": %.0f\n"
+                 "  },\n"
                  "  \"miss_drain\": {\n"
                  "    \"batched\": {\"misses\": %llu, \"wall_ms\": %.3f, "
                  "\"misses_per_sec\": %.0f, \"min_per_sec\": %.0f, "
@@ -319,6 +386,10 @@ int main(int Argc, const char **Argv) {
                  Tracked.Median.WallMs, Tracked.Median.perSec(),
                  Tracked.Min.perSec(), Tracked.Median.perSec(),
                  Tracked.Max.perSec(),
+                 static_cast<unsigned long long>(Serial.Median.Events),
+                 Serial.Median.WallMs, Serial.Median.perSec(),
+                 Serial.Min.perSec(), Serial.Median.perSec(),
+                 Serial.Max.perSec(),
                  static_cast<unsigned long long>(Batched.Median.Events),
                  Batched.Median.WallMs, Batched.Median.perSec(),
                  Batched.Min.perSec(), Batched.Median.perSec(),

@@ -7,8 +7,10 @@
 # Regression gate: if a committed BENCH_hotpath.json baseline exists and
 # was recorded on the same host class (same cpu_model and
 # host_hardware_threads — CI runners differ wildly, numbers only compare
-# within a class), the run fails when the batched drain rate drops more
-# than 20% below it. micro_hotpath repeats each section and reports
+# within a class), the run fails when the batched drain rate or the serial
+# tracked-access rate (tracked_access_serial, the engine the gated
+# perfbench workloads run) drops more than 20% below it. A baseline
+# without a tracked_access_serial section gates the drain only. micro_hotpath repeats each section and reports
 # min/median/max; the legacy scalar keys the gate reads carry the median,
 # so old and new baselines stay comparable.
 #
@@ -38,7 +40,8 @@ if [ -f "$OUT" ]; then
 fi
 
 # --sim-threads 2 is micro_hotpath's default, but the gate compares the
-# sharded-drain configuration specifically, so pin it explicitly.
+# sharded-drain configuration specifically, so pin it explicitly. The
+# tracked-access sections always run on the serial engine.
 "$BENCH" --quick --sim-threads 2 --json "$OUT" --trace-tmp "$REPO_ROOT/$BUILD_DIR/micro_hotpath.mtrace"
 python3 -m json.tool "$OUT" > /dev/null
 echo "perf_smoke: wrote $OUT"
@@ -86,14 +89,25 @@ if "unknown" in host_class(base) or host_class(base) != host_class(new):
           file=sys.stderr)
     sys.exit(42)
 
-old = base["miss_drain"]["batched"]["misses_per_sec"]
-cur = new["miss_drain"]["batched"]["misses_per_sec"]
-floor = 0.8 * old
-print("perf_smoke: batched drain %.0f/s vs baseline %.0f/s (floor %.0f/s)"
-      % (cur, old, floor))
-if cur < floor:
-    print("perf_smoke: batched drain regressed more than 20%% below the "
-          "committed baseline (git_sha %s)" % base.get("git_sha", "unknown"),
-          file=sys.stderr)
-    sys.exit(1)
+gates = [("batched drain", ("miss_drain", "batched", "misses_per_sec")),
+         ("serial tracked access", ("tracked_access_serial",
+                                    "accesses_per_sec"))]
+failed = False
+for name, path in gates:
+    old, cur = base, new
+    for key in path:
+        old = old.get(key, {}) if isinstance(old, dict) else {}
+        cur = cur[key]
+    if not isinstance(old, (int, float)):
+        print("perf_smoke: baseline has no %s rate; not gated" % name)
+        continue
+    floor = 0.8 * old
+    print("perf_smoke: %s %.0f/s vs baseline %.0f/s (floor %.0f/s)"
+          % (name, cur, old, floor))
+    if cur < floor:
+        print("perf_smoke: %s regressed more than 20%% below the committed "
+              "baseline (git_sha %s)" % (name, base.get("git_sha", "unknown")),
+              file=sys.stderr)
+        failed = True
+sys.exit(1 if failed else 0)
 EOF

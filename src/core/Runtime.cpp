@@ -1030,6 +1030,16 @@ double Runtime::fastDataRatio() const {
          static_cast<double>(Total);
 }
 
+void Runtime::onLlcMiss(const TrackHandle &Handle, uint64_t Offset,
+                        uint64_t Va) {
+  ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
+  Profiler.notifyMiss(Va);
+  if (MissTrace)
+    MissTrace->record(Va);
+  if (ReplayTlb)
+    replayTlbAccess(Va);
+}
+
 void Runtime::replayTlbAccess(uint64_t Va) {
   if (!ReplayCache)
     ReplayCache = std::make_unique<sim::TranslationCache>(M.pageTable());

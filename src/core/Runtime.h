@@ -227,9 +227,13 @@ public:
   /// Hot path: one tracked access at byte offset \p Offset of the object
   /// behind \p Handle. Inside a parallelTracked() region the access goes
   /// to the calling thread's private SimContext shard, lock-free;
-  /// otherwise it is inline: flag test, LLC probe, per-tier accounting,
-  /// and a profiler feed on misses.
-  void onAccess(const TrackHandle &Handle, uint64_t Offset) {
+  /// otherwise it is inline: flag test, LLC probe, and on a miss an out of
+  /// line call for per-tier accounting and the profiler feed. Forced
+  /// inline into the kernels' loops (the compiler's size heuristics
+  /// otherwise leave most call sites as calls); the miss side stays out of
+  /// line so each site only grows by the MRU probe.
+  [[gnu::always_inline]] void onAccess(const TrackHandle &Handle,
+                                       uint64_t Offset) {
     if (!TrackingEnabled)
       return;
     if (Bound.Owner == this) {
@@ -242,12 +246,7 @@ public:
       ++Stats.LlcHits;
       return;
     }
-    ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
-    Profiler.notifyMiss(Va);
-    if (MissTrace)
-      MissTrace->record(Va);
-    if (ReplayTlb)
-      replayTlbAccess(Va);
+    onLlcMiss(Handle, Offset, Va);
   }
 
   /// \name Parallel tracked execution
@@ -315,6 +314,10 @@ public:
   analyzer::AnalyzerConfig &analyzerConfig() { return Config.Analyzer; }
 
 private:
+  /// onAccess() after a serial-engine LLC miss at \p Va: per-tier
+  /// accounting, then the profiler, miss trace and TLB replay.
+  void onLlcMiss(const TrackHandle &Handle, uint64_t Offset, uint64_t Va);
+
   /// Replays \p Va against the TLB through the epoch-validated translation
   /// cache (identical verdicts to a direct page-table walk).
   void replayTlbAccess(uint64_t Va);

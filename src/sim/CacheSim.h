@@ -28,49 +28,53 @@ namespace atmem {
 namespace sim {
 
 /// LRU set-associative cache indexed by simulated virtual address.
+///
+/// Each set is one row of tags kept in recency order: way 0 holds the most
+/// recently used line, the least recently used line sits at the tail, and
+/// invalid ways (the ~0 sentinel) only ever sit at the tail. The row order
+/// IS the recency order, so no stamps or clock are kept. Verdicts are
+/// those of a stamp-based LRU, access for access: stamps within a set were
+/// unique, so sorting a set by stamp gives the row order, and the stamp
+/// victim (an invalid way, else the minimal stamp) is the tail. Which way
+/// a line occupied was never observable.
 class CacheSim {
 public:
+  /// Aborts via reportFatalError on zero ways or a line size that is zero
+  /// or not a power of two.
   explicit CacheSim(const CacheConfig &Config);
 
-  /// Records an access to \p Va. Returns true on a hit.
-  bool access(uint64_t Va);
+  /// Records an access to \p Va. Returns true on a hit. Inline up to the
+  /// MRU probe, which decides most accesses of the shipped kernels (a
+  /// sweep touches the same line several times in a row); the rest of the
+  /// set is scanned and reordered out of line.
+  bool access(uint64_t Va) {
+    uint64_t Line = Va >> LineShift;
+    uint64_t *Row = Tags.data() + (Line & SetMask) * Ways;
+    uint64_t Tag = Line >> SetShift;
+    if (Row[0] == Tag)
+      return true;
+    return accessBeyondMru(Row, Tag);
+  }
 
   /// Empties the cache (used between measured iterations when cold-cache
   /// behaviour is wanted).
   void flushAll();
 
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-  void resetCounters() {
-    Hits = 0;
-    Misses = 0;
-  }
-
   uint32_t lineBytes() const { return LineBytes; }
-  uint64_t sizeBytes() const {
-    return static_cast<uint64_t>(Sets) * Ways * LineBytes;
-  }
-
-  /// Test hook: fast-forwards the LRU clock (e.g. near the old uint32_t
-  /// stamp wraparound) without issuing billions of accesses.
-  void setClockForTesting(uint64_t NewClock) { Clock = NewClock; }
+  uint64_t sizeBytes() const { return (SetMask + 1) * Ways * LineBytes; }
 
 private:
-  uint32_t Sets;
+  /// The access() slow path for a tag that is not in way 0 of \p Row.
+  bool accessBeyondMru(uint64_t *Row, uint64_t Tag);
+
+  uint64_t SetMask = 0; ///< Sets - 1; the set count is a power of two.
   uint32_t SetShift = 0;
   uint32_t Ways;
   uint32_t LineBytes;
-  uint32_t LineShift;
-  uint64_t Clock = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  /// Struct-of-arrays set storage: the hit probe scans only the tag row
-  /// (one or two cache lines per set), touching stamps just to refresh the
-  /// LRU position; the victim scan on a miss reads both rows.
-  std::vector<uint64_t> Tags;   ///< Sets*Ways tags; ~0 means invalid.
-  /// LRU stamps parallel to Tags. Full-width: a uint32_t stamp silently
-  /// wraps after 2^32 accesses, inverting the LRU order for long runs.
-  std::vector<uint64_t> Stamps;
+  uint32_t LineShift = 0;
+  /// Sets*Ways tags, one recency-ordered row per set; ~0 marks an invalid
+  /// way. Real tags are below 2^58 (the line offset is shifted out).
+  std::vector<uint64_t> Tags;
 };
 
 } // namespace sim

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Vectorized 4-way tag probe shared by the LLC model and the TLB model.
-/// Both keep their set storage as structure-of-arrays u64 rows, so one
-/// probe is "which of these four contiguous 64-bit keys equals mine" —
-/// exactly two 128-bit compares. The SSE2 path emulates the 64-bit
-/// equality (SSE4.1's pcmpeqq is above the x86-64 baseline) by matching
-/// both 32-bit halves; the NEON path uses the native vceqq_u64.
+/// Vectorized 4-way tag probe of the TLB model. The TLB keeps its set
+/// storage as structure-of-arrays u64 rows, so one probe is "which of
+/// these four contiguous 64-bit keys equals mine" — exactly two 128-bit
+/// compares. The SSE2 path emulates the 64-bit equality (SSE4.1's
+/// pcmpeqq is above the x86-64 baseline) by matching both 32-bit halves;
+/// the NEON path uses the native vceqq_u64.
 ///
 /// The probe's contract mirrors the scalar loops it replaces: the LOWEST
 /// matching way index is returned, so even in the impossible case of a

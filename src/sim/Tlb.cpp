@@ -4,17 +4,22 @@
 #include "support/Error.h"
 
 #include <bit>
-#include <cassert>
 
 using namespace atmem;
 using namespace atmem::sim;
 
 TlbArray::TlbArray(uint32_t TotalEntries, uint32_t Ways, uint64_t PageBytes)
-    : Sets(TotalEntries / Ways), Ways(Ways), PageBytes(PageBytes),
-      Vpns(TotalEntries, InvalidVpn), Stamps(TotalEntries, 0) {
-  assert(Ways > 0 && TotalEntries % Ways == 0 &&
-         "entry count must be a multiple of associativity");
-  assert(Sets > 0 && "TLB must have at least one set");
+    : Ways(Ways), PageBytes(PageBytes) {
+  if (Ways == 0)
+    reportFatalError("TLB must have at least one way");
+  if (TotalEntries == 0 || TotalEntries % Ways != 0)
+    reportFatalError(
+        "TLB entry count must be a nonzero multiple of associativity");
+  if (PageBytes == 0)
+    reportFatalError("TLB page size must be nonzero");
+  Sets = TotalEntries / Ways;
+  Vpns.assign(TotalEntries, InvalidVpn);
+  Stamps.assign(TotalEntries, 0);
   // All shipped TLB geometries have power-of-two set counts; keep the
   // modulo path only for odd test configurations.
   SetMask = (Sets & (Sets - 1)) == 0 ? Sets - 1 : 0;

@@ -33,7 +33,9 @@ namespace sim {
 class TlbArray {
 public:
   /// Creates an array with \p Entries total entries of \p Ways
-  /// associativity for pages of \p PageBytes.
+  /// associativity for pages of \p PageBytes. Aborts via reportFatalError
+  /// on zero ways, zero entries, an entry count that is not a multiple of
+  /// the associativity, or a zero page size.
   TlbArray(uint32_t Entries, uint32_t Ways, uint64_t PageBytes);
 
   /// Looks up the page containing \p Va, inserting it on a miss. Returns
@@ -139,7 +141,7 @@ private:
     return static_cast<uint32_t>(Vpn % Sets);
   }
 
-  uint32_t Sets;
+  uint32_t Sets = 0;
   uint32_t SetMask = 0;   ///< Sets-1 when Sets is a power of two, else 0.
   uint32_t PageShift = 0; ///< log2(PageBytes) when a power of two, else 0.
   uint32_t Ways;
@@ -147,9 +149,12 @@ private:
   uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  /// Structure-of-arrays ways, like CacheSim: the probe touches only the
-  /// VPN row (one cache line covers a whole set), stamps only on the
-  /// update that follows.
+  /// Structure-of-arrays ways: the probe touches only the VPN row (one
+  /// cache line covers a whole set), stamps only on the update that
+  /// follows. Stamps, not a recency-ordered row like CacheSim's, because a
+  /// hit is then a blind stamp store: the drain's TLB replay hits ways at
+  /// random, and reordering a row on every hit measured about twice as
+  /// slow there.
   std::vector<uint64_t> Vpns;   ///< InvalidVpn marks an empty way.
   std::vector<uint64_t> Stamps;
 };

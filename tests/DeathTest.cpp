@@ -13,6 +13,8 @@
 #include "graph/CsrGraph.h"
 #include "graph/Datasets.h"
 #include "mem/DataObject.h"
+#include "sim/CacheSim.h"
+#include "sim/Tlb.h"
 #include "support/Error.h"
 #include "support/TablePrinter.h"
 
@@ -72,6 +74,44 @@ TEST(DeathTest, MismatchedWeightsAbort) {
                                std::vector<graph::VertexId>{0},
                                std::vector<uint32_t>{1, 2}),
                "weight");
+}
+
+sim::CacheConfig cacheGeometry(uint32_t Ways, uint32_t LineBytes) {
+  sim::CacheConfig Config;
+  Config.SizeBytes = 1 << 16;
+  Config.Ways = Ways;
+  Config.LineBytes = LineBytes;
+  return Config;
+}
+
+// Geometry is validated in release builds too: a zero divisor or a
+// non-power-of-two shift would otherwise be silent undefined behaviour.
+TEST(DeathTest, CacheZeroWaysAborts) {
+  EXPECT_DEATH(sim::CacheSim(cacheGeometry(0, 64)), "at least one way");
+}
+
+TEST(DeathTest, CacheZeroLineSizeAborts) {
+  EXPECT_DEATH(sim::CacheSim(cacheGeometry(16, 0)), "power of two");
+}
+
+TEST(DeathTest, CacheNonPowerOfTwoLineSizeAborts) {
+  EXPECT_DEATH(sim::CacheSim(cacheGeometry(16, 48)), "power of two");
+}
+
+TEST(DeathTest, TlbZeroWaysAborts) {
+  EXPECT_DEATH(sim::TlbArray(64, 0, sim::SmallPageBytes), "at least one way");
+}
+
+TEST(DeathTest, TlbEntriesNotMultipleOfWaysAborts) {
+  EXPECT_DEATH(sim::TlbArray(30, 4, sim::SmallPageBytes), "multiple");
+}
+
+TEST(DeathTest, TlbZeroEntriesAborts) {
+  EXPECT_DEATH(sim::TlbArray(0, 4, sim::SmallPageBytes), "multiple");
+}
+
+TEST(DeathTest, TlbZeroPageSizeAborts) {
+  EXPECT_DEATH(sim::TlbArray(64, 4, 0), "page size");
 }
 
 } // namespace

@@ -310,13 +310,14 @@ TEST(HotPathTranslationCacheTest, TransparentAcrossMutations) {
 }
 
 //===----------------------------------------------------------------------===//
-// CacheSim / TLB: split probe+victim scans vs the fused reference loops.
+// CacheSim's recency-ordered rows and the TLB's split probe/victim scans
+// vs the fused stamp-LRU reference loops.
 //===----------------------------------------------------------------------===//
 
-/// The pre-PR fused LLC loop, kept as an executable specification: walk
-/// the set once, noting a hit or accumulating the victim (invalid way
-/// preferred — last invalid wins via VictimStamp 0 — else strictly
-/// minimal stamp, first occurrence).
+/// The historical fused stamp-LRU loop of the LLC model, kept as an
+/// executable specification: walk the set once, noting a hit or
+/// accumulating the victim (invalid way preferred — last invalid wins via
+/// VictimStamp 0 — else strictly minimal stamp, first occurrence).
 class ReferenceLru {
 public:
   ReferenceLru(const sim::CacheConfig &Config)
@@ -363,28 +364,36 @@ private:
 };
 
 TEST(HotPathCacheSimTest, SplitProbeMatchesFusedReference) {
-  sim::CacheConfig Config;
-  Config.SizeBytes = 1 << 14; // 64 sets x 4 ways: heavy conflict traffic.
-  Config.Ways = 4;
-  Config.LineBytes = 64;
-  sim::CacheSim Cache(Config);
-  ReferenceLru Ref(Config);
+  // 64 sets x {4, 16} ways: heavy conflict traffic, at 4 ways and at the
+  // shipped LLC associativity (16).
+  for (uint32_t Ways : {4u, 16u}) {
+    sim::CacheConfig Config;
+    Config.SizeBytes = 64 * Ways * 64;
+    Config.Ways = Ways;
+    Config.LineBytes = 64;
+    sim::CacheSim Cache(Config);
+    ReferenceLru Ref(Config);
 
-  Xoshiro256 Rng(5);
-  for (int I = 0; I < 200000; ++I) {
-    // Mix of a hot window (hits + LRU churn) and cold strides (victim
-    // selection among invalid and valid ways).
-    uint64_t Va = Rng.nextBounded(2) ? Rng.nextBounded(1 << 15)
-                                     : Rng.nextBounded(1ull << 26);
-    ASSERT_EQ(Ref.access(Va), Cache.access(Va)) << "access " << I;
+    Xoshiro256 Rng(5);
+    uint64_t Hits = 0;
+    for (int I = 0; I < 200000; ++I) {
+      // Mix of a hot window (hits + LRU churn) and cold strides (victim
+      // selection among invalid and valid ways).
+      uint64_t Va = Rng.nextBounded(2) ? Rng.nextBounded(Ways << 13)
+                                       : Rng.nextBounded(1ull << 26);
+      bool Hit = Cache.access(Va);
+      ASSERT_EQ(Ref.access(Va), Hit) << Ways << " ways, access " << I;
+      Hits += Hit;
+    }
+    EXPECT_GT(Hits, 0u) << Ways << " ways";
+    EXPECT_LT(Hits, 200000u) << Ways << " ways";
   }
-  EXPECT_GT(Cache.hits(), 0u);
-  EXPECT_GT(Cache.misses(), 0u);
 }
 
-/// The pre-PR fused TLB set walk: hit updates the stamp; otherwise the
-/// victim is the last invalid way, else the lowest-stamp valid way
-/// (stamps compared only while the victim is still valid).
+/// The historical fused stamp-LRU TLB set walk: hit updates the stamp;
+/// otherwise the victim is the last invalid way, else the lowest-stamp
+/// valid way (stamps compared only while the victim is still valid).
+/// flushPage() invalidates the matching way in place, leaving a hole.
 class ReferenceTlbArray {
 public:
   ReferenceTlbArray(uint32_t Entries, uint32_t Ways, uint64_t PageBytes)
@@ -413,6 +422,14 @@ public:
     return false;
   }
 
+  void flushPage(uint64_t Va) {
+    uint64_t Vpn = Va / PageBytes;
+    uint64_t Base = uint64_t{static_cast<uint32_t>(Vpn % Sets)} * Ways;
+    for (uint32_t W = 0; W < Ways; ++W)
+      if (Slots[Base + W].Valid && Slots[Base + W].Vpn == Vpn)
+        Slots[Base + W].Valid = false;
+  }
+
 private:
   struct Way {
     uint64_t Vpn = ~0ull;
@@ -436,6 +453,13 @@ TEST(HotPathTlbTest, SplitProbeMatchesFusedReference) {
     bool Huge = Rng.nextBounded(4) == 0;
     uint64_t Va = Rng.nextBounded(2) ? Rng.nextBounded(1u << 20)
                                      : Rng.nextBounded(1ull << 32);
+    if (Rng.nextBounded(16) == 0) {
+      // Shootdowns punch invalid holes into a set (or miss it); the next
+      // miss must refill the hole before evicting a valid way.
+      (Huge ? RefHuge : RefSmall).flushPage(Va);
+      Tlb.flushPage(Va, Huge ? 2u << 20 : 4096);
+      continue;
+    }
     bool RefHit = Huge ? RefHuge.access(Va) : RefSmall.access(Va);
     ASSERT_EQ(RefHit, Tlb.access(Va, Huge ? 2u << 20 : 4096)) << "access " << I;
   }

@@ -47,6 +47,17 @@ public:
     return false;
   }
 
+  /// Drops the entry holding \p Va's line, if present.
+  void remove(uint64_t Va) {
+    uint64_t Line = Va / LineBytes;
+    Contents[Line % Sets].remove(Line / Sets);
+  }
+
+  void flushAll() {
+    for (auto &List : Contents)
+      List.clear();
+  }
+
 private:
   uint32_t Sets;
   uint32_t Ways;
@@ -57,20 +68,47 @@ private:
 class CacheEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacheEquivalenceTest, MatchesReferenceAccessForAccess) {
-  CacheConfig Config;
-  Config.SizeBytes = 64 * 64 * 4; // 64 sets x 4 ways x 64 B.
-  Config.Ways = 4;
-  Config.LineBytes = 64;
-  CacheSim Model(Config);
-  ReferenceCache Reference(64, 4, 64);
+  struct Geometry {
+    uint32_t Sets, Ways;
+  };
+  // The historical small config, the shipped LLC geometries at the
+  // perfbench scale (NVM 1/256: 128 x 16, MCDRAM 1/256: 64 x 16), and a
+  // single set whose width is not a multiple of the 4-way SIMD group.
+  for (Geometry G : {Geometry{64, 4}, Geometry{128, 16}, Geometry{64, 16},
+                     Geometry{1, 6}}) {
+    CacheConfig Config;
+    Config.SizeBytes = uint64_t{G.Sets} * G.Ways * 64;
+    Config.Ways = G.Ways;
+    Config.LineBytes = 64;
+    CacheSim Model(Config);
+    ASSERT_EQ(Model.sizeBytes(), Config.SizeBytes);
+    ReferenceCache Reference(G.Sets, G.Ways, 64);
 
-  Xoshiro256 Rng(GetParam());
-  for (int I = 0; I < 50000; ++I) {
-    // Mix of random and localized accesses to exercise hits and misses.
-    uint64_t Va = Rng.nextDouble() < 0.5
-                      ? Rng.nextBounded(1 << 20)
-                      : Rng.nextBounded(1 << 12);
-    ASSERT_EQ(Model.access(Va), Reference.access(Va)) << "access " << I;
+    Xoshiro256 Rng(GetParam());
+    uint64_t HotBytes = 2 * Config.SizeBytes;
+    for (int I = 0; I < 50000; ++I) {
+      if (I % 12500 == 12499) {
+        Model.flushAll();
+        Reference.flushAll();
+      }
+      // A hot window around the capacity (MRU hits and deep LRU hits), a
+      // cold stream (misses with eviction), and same-set strides that walk
+      // one row through every recency position.
+      uint64_t Va;
+      switch (Rng.nextBounded(3)) {
+      case 0:
+        Va = Rng.nextBounded(HotBytes);
+        break;
+      case 1:
+        Va = Rng.nextBounded(1ull << 30);
+        break;
+      default:
+        Va = Rng.nextBounded(2 * G.Ways) * G.Sets * 64 + Rng.nextBounded(64);
+        break;
+      }
+      ASSERT_EQ(Model.access(Va), Reference.access(Va))
+          << G.Sets << "x" << G.Ways << ", access " << I;
+    }
   }
 }
 
@@ -85,7 +123,14 @@ TEST_P(TlbEquivalenceTest, SmallArrayMatchesReference) {
   ReferenceCache Reference(8, 4, SmallPageBytes);
   Xoshiro256 Rng(GetParam());
   for (int I = 0; I < 50000; ++I) {
-    uint64_t Va = Rng.nextBounded(1ull << 24);
+    uint64_t Va = Rng.nextBounded(2) ? Rng.nextBounded(1ull << 18)
+                                     : Rng.nextBounded(1ull << 24);
+    if (Rng.nextBounded(8) == 0) {
+      // Shootdowns, present or not, interleaved with the lookups.
+      Model.flushPage(Va);
+      Reference.remove(Va);
+      continue;
+    }
     ASSERT_EQ(Model.access(Va), Reference.access(Va)) << "access " << I;
   }
 }
