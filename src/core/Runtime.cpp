@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
-#include <thread>
 
 using namespace atmem;
 using namespace atmem::core;
@@ -277,10 +276,9 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
 
 Runtime::~Runtime() {
   // The accept thread captures `this`; it must be gone before any member
-  // it reads (and before the lookahead teardown churns placement).
+  // it reads.
   if (StatsServer)
     StatsServer->stop();
-  shutdownLookahead();
 }
 
 void Runtime::parallelTracked(uint64_t Begin, uint64_t End,
@@ -315,25 +313,13 @@ mem::MigrationResult Runtime::optimize() {
   if (Profiler.isActive())
     Profiler.stop();
 
-  if (Config.Lookahead.Enabled) {
-    // Settle the overlapped staging copies before anything reads their
-    // outcome, then let the adaptive scheduler skip the whole epoch when
-    // placement has converged — no analysis, no decision-log epoch, no
-    // migrations, nothing staged to resolve.
-    joinLookaheadCopies();
-    if (skipConvergedEpoch())
-      return {};
-    EpochRenominated = 0;
-    EpochRollbacks = 0;
-  }
-
   // Epoch bookkeeping for the time-series sample built at the bottom.
   // Wall-clock is only read when somebody consumes it, so a runtime with
   // no time-series/socket/health output takes exactly the old path.
   const bool TsEnabled = obs::TimeSeries::instance().enabled();
   const bool NeedWall = TsEnabled || HealthMon != nullptr;
-  const uint64_t RollbacksBefore = EpochRollbacks;
   EpochRetries = 0;
+  EpochRollbacks = 0;
   std::chrono::steady_clock::time_point WallStart;
   double IterWallUs = 0.0;
   if (NeedWall) {
@@ -393,14 +379,6 @@ mem::MigrationResult Runtime::optimize() {
     return nullptr;
   };
 
-  // Epoch boundary of the lookahead pipeline: staged-ahead ranges the
-  // fresh plan confirms commit here for the price of a remap (their copy
-  // already ran overlapped with compute); mispredictions evaporate. Runs
-  // before demotions/promotions so the demand path below sees committed
-  // chunks as already placed and never re-migrates them.
-  if (Config.Lookahead.Enabled)
-    resolveStagedAhead(Result);
-
   // Chunks a previous epoch had to leave behind are re-nominated this
   // epoch alongside the fresh plan.
   std::vector<SkippedChunk> PrevSkipped = std::move(Skipped);
@@ -438,7 +416,6 @@ mem::MigrationResult Runtime::optimize() {
             PrevSkipped[I].Target != sim::TierId::Fast)
           continue;
         Consumed[I] = 1;
-        ++EpochRenominated;
         countRenominated();
         recordDecisionEvents(Obj, {PrevSkipped[I].Range}, sim::TierId::Fast,
                              obs::DecisionPhase::Renominated,
@@ -476,7 +453,6 @@ mem::MigrationResult Runtime::optimize() {
           PrevSkipped[J].Target != sim::TierId::Fast)
         continue;
       Consumed[J] = 1;
-      ++EpochRenominated;
       countRenominated();
       recordDecisionEvents(Obj, {PrevSkipped[J].Range}, sim::TierId::Fast,
                            obs::DecisionPhase::Renominated,
@@ -486,13 +462,6 @@ mem::MigrationResult Runtime::optimize() {
     if (!Pending.empty())
       promoteWithRecovery(Mig, Obj, std::move(Pending), priorityOf(Id),
                           Result);
-  }
-  // Predict and stage next epoch's hot chunks, then launch the overlapped
-  // copy; finally update the adaptive scheduler's convergence accounting.
-  if (Config.Lookahead.Enabled &&
-      Config.Mechanism == MigrationMechanism::Atmem) {
-    stageLookahead(Classes);
-    updateBackoff();
   }
 
   logInfo("optimize: moved %llu bytes in %llu ranges, %.3f ms simulated",
@@ -511,14 +480,13 @@ mem::MigrationResult Runtime::optimize() {
                                                          WallStart)
                    .count();
     }
-    captureEpochSample(Result, RollbacksBefore, WallUs, IterWallUs);
+    captureEpochSample(Result, WallUs, IterWallUs);
   }
   return Result;
 }
 
 void Runtime::captureEpochSample(const mem::MigrationResult &Result,
-                                 uint64_t RollbacksBefore, double WallUs,
-                                 double IterWallUs) {
+                                 double WallUs, double IterWallUs) {
   ++OptimizeEpochs;
   if (obs::TimeSeries::instance().enabled() || HealthMon) {
     obs::EpochSample S;
@@ -537,16 +505,8 @@ void Runtime::captureEpochSample(const mem::MigrationResult &Result,
     S.MigrationBytes = Result.BytesMoved;
     S.MigrationRanges = Result.Ranges;
     S.Retries = EpochRetries;
-    S.Rollbacks = EpochRollbacks - RollbacksBefore;
+    S.Rollbacks = EpochRollbacks;
     S.MigrateSimSec = Result.SimSeconds;
-    // The lookahead stats are cumulative; the sample reports this epoch's
-    // delta so the series plots activity, not running totals.
-    S.LookaheadStaged = LkStats.StagedRanges - TsPrevStaged;
-    S.LookaheadCancelled = LkStats.CancelledRanges - TsPrevCancelled;
-    S.LookaheadOverlapSec = LkStats.OverlappedSimSec - TsPrevOverlap;
-    TsPrevStaged = LkStats.StagedRanges;
-    TsPrevCancelled = LkStats.CancelledRanges;
-    TsPrevOverlap = LkStats.OverlappedSimSec;
     S.FastDataRatio = fastDataRatio();
     S.OptimizeWallUs = WallUs;
     S.IterationWallUs = IterWallUs;
@@ -1046,237 +1006,4 @@ void Runtime::replayTlbAccess(uint64_t Va) {
   sim::Translation T;
   if (ReplayCache->translate(Va, T))
     ReplayTlb->access(Va, T.PageBytes);
-}
-
-//===----------------------------------------------------------------------===//
-// Lookahead pipeline
-//===----------------------------------------------------------------------===//
-
-void Runtime::joinLookaheadCopies() {
-  if (LookaheadCopyThread.joinable())
-    LookaheadCopyThread.join();
-}
-
-void Runtime::shutdownLookahead() {
-  joinLookaheadCopies();
-  // Silent unmap (no events): the decision log may already be finalized
-  // during teardown, and a destructed runtime's staging regions must not
-  // outlive it either way.
-  for (const mem::StagedAheadRange &Staged : StagedRanges)
-    M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-  StagedRanges.clear();
-}
-
-bool Runtime::skipConvergedEpoch() {
-  if (!Config.Lookahead.AdaptiveEpochs || BackoffRemaining == 0 ||
-      !StagedRanges.empty())
-    return false;
-  // Drift detection on the last iteration's per-tier miss split: a
-  // converged placement serves most misses from the fast tier, so a
-  // slow-heavy split means the access pattern moved and the back-off must
-  // yield to a full analysis epoch immediately.
-  uint64_t FastMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)];
-  uint64_t SlowMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)];
-  if (FastMisses + SlowMisses > 0) {
-    double SlowFraction = static_cast<double>(SlowMisses) /
-                          static_cast<double>(FastMisses + SlowMisses);
-    if (SlowFraction >= Config.Lookahead.DriftSlowMissFraction) {
-      BackoffRemaining = 0;
-      BackoffLen = 0;
-      ConvergedStreak = 0;
-      logInfo("optimize: drift detected (%.0f%% slow-tier misses), "
-              "re-arming analysis",
-              SlowFraction * 100.0);
-      return false;
-    }
-  }
-  --BackoffRemaining;
-  ++LkStats.BackedOffEpochs;
-  logInfo("optimize: placement converged, backing off (%u epochs left)",
-          BackoffRemaining);
-  return true;
-}
-
-void Runtime::resolveStagedAhead(mem::MigrationResult &Result) {
-  for (mem::StagedAheadRange &Staged : StagedRanges) {
-    // Freed object: nothing to place, just release the staging region
-    // (the migrator's event-emitting cancel path needs the live object).
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == Staged.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live) {
-      M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::DataObject &Obj = Registry.object(Staged.Object);
-    if (!Staged.CopyDone)
-      ++LkStats.CopyFaults;
-
-    // A staged range commits only when the *fresh* plan independently
-    // selects every chunk of it and the chunks are still where the stage
-    // left them — predictions confirm placement decisions, they never
-    // make them. Everything else is a cancelled prefetch: the staging
-    // buffer unmaps and placement is exactly what a run without
-    // lookahead would have produced.
-    bool Confirmed = Staged.CopyDone;
-    for (uint32_t C = Staged.Range.FirstChunk;
-         Confirmed && C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-         ++C)
-      Confirmed = Obj.chunkTier(C) == Staged.Source;
-    if (Confirmed) {
-      bool Selected = false;
-      for (const analyzer::ObjectPlan &ObjPlan : LastPlan.Objects) {
-        if (ObjPlan.Object != Staged.Object)
-          continue;
-        Selected = true;
-        for (uint32_t C = Staged.Range.FirstChunk;
-             Selected &&
-             C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-             ++C) {
-          bool InPlan = false;
-          for (const mem::ChunkRange &Range : ObjPlan.Ranges)
-            if (C >= Range.FirstChunk &&
-                C < Range.FirstChunk + Range.NumChunks) {
-              InPlan = true;
-              break;
-            }
-          Selected = InPlan;
-        }
-        break;
-      }
-      Confirmed = Selected;
-    }
-
-    if (!Confirmed) {
-      AtmemMig.cancelStagedAhead(Obj, Staged, sim::TierId::Fast);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::MigrationStatus Status =
-        AtmemMig.commitStagedAhead(Obj, Staged, sim::TierId::Fast, Result);
-    if (Status == mem::MigrationStatus::Success) {
-      ++LkStats.CommittedRanges;
-      LkStats.OverlappedSimSec += Staged.OverlappedSimSec;
-      noteHealthMigration(Staged.Object, Staged.Range.FirstChunk,
-                          Staged.Range.NumChunks, /*ToFast=*/true);
-    } else {
-      // The failed commit already cancelled itself (staging released,
-      // placement untouched); the chunks stay eligible for the demand
-      // path below.
-      ++LkStats.CancelledRanges;
-      ++EpochRollbacks;
-    }
-  }
-  StagedRanges.clear();
-}
-
-void Runtime::stageLookahead(
-    const std::vector<analyzer::ObjectClassification> &Classes) {
-  if (!Lookahead)
-    Lookahead =
-        std::make_unique<analyzer::LookaheadPlanner>(Config.Lookahead.Planner);
-  Lookahead->observeEpoch(Classes, EpochRenominated, EpochRollbacks,
-                          Skipped.size());
-  std::vector<analyzer::LookaheadPrediction> Predictions =
-      Lookahead->predict();
-  LkStats.PredictedChunks += Predictions.size();
-  if (Predictions.empty())
-    return;
-
-  // Hard capacity budget: a slice of the post-migration fast free bytes,
-  // with every staged byte holding 2x through the pipeline (the staging
-  // buffer now plus the commit-time remap). Predictions are taken in
-  // priority order; one that does not fit is skipped, not queued.
-  uint64_t Budget = static_cast<uint64_t>(
-      static_cast<double>(M.allocator(sim::TierId::Fast).freeBytes()) *
-      Config.Lookahead.CapacityFraction);
-  uint64_t Held = 0;
-  struct Pick {
-    mem::ObjectId Object;
-    uint32_t Chunk;
-  };
-  std::vector<Pick> Picks;
-  for (const analyzer::LookaheadPrediction &P : Predictions) {
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == P.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live)
-      continue;
-    mem::DataObject &Obj = Registry.object(P.Object);
-    if (P.Chunk >= Obj.numChunks() ||
-        Obj.chunkTier(P.Chunk) != sim::TierId::Slow)
-      continue;
-    auto [Begin, End] = Obj.rangeBytes({P.Chunk, 1});
-    uint64_t Bytes = End - Begin;
-    if (Bytes == 0 || Held + 2 * Bytes > Budget)
-      continue;
-    Held += 2 * Bytes;
-    Picks.push_back({P.Object, P.Chunk});
-  }
-  if (Picks.empty())
-    return;
-
-  // Group per object and merge adjacent chunks into contiguous ranges so
-  // each staging buffer covers one run.
-  std::sort(Picks.begin(), Picks.end(), [](const Pick &A, const Pick &B) {
-    if (A.Object != B.Object)
-      return A.Object < B.Object;
-    return A.Chunk < B.Chunk;
-  });
-  size_t Before = StagedRanges.size();
-  for (size_t I = 0; I < Picks.size();) {
-    mem::ObjectId Id = Picks[I].Object;
-    std::vector<mem::ChunkRange> Ranges;
-    while (I < Picks.size() && Picks[I].Object == Id) {
-      uint32_t First = Picks[I].Chunk;
-      uint32_t Last = First;
-      ++I;
-      while (I < Picks.size() && Picks[I].Object == Id &&
-             Picks[I].Chunk == Last + 1) {
-        Last = Picks[I].Chunk;
-        ++I;
-      }
-      Ranges.push_back({First, Last - First + 1});
-    }
-    AtmemMig.stageAhead(Registry.object(Id), Ranges, sim::TierId::Fast,
-                        StagedRanges);
-  }
-  LkStats.StagedRanges += StagedRanges.size() - Before;
-  if (StagedRanges.empty())
-    return;
-
-  // Launch the overlapped copies: one background thread drives the
-  // migration pool through each staged range while the application
-  // computes. joinLookaheadCopies() settles it before anything reads
-  // CopyDone.
-  LookaheadCopyThread = std::thread([this] {
-    for (mem::StagedAheadRange &Staged : StagedRanges)
-      AtmemMig.copyStagedAhead(Staged, sim::TierId::Fast);
-  });
-}
-
-void Runtime::updateBackoff() {
-  if (!Config.Lookahead.AdaptiveEpochs)
-    return;
-  bool Quiet = Lookahead && Lookahead->converged() && StagedRanges.empty() &&
-               Skipped.empty();
-  if (!Quiet) {
-    ConvergedStreak = 0;
-    return;
-  }
-  if (++ConvergedStreak < Config.Lookahead.ConvergedEpochsToBackoff)
-    return;
-  // Doubling windows: converged placements earn exponentially longer
-  // analysis holidays, capped, and drift resets the ladder.
-  BackoffLen = BackoffLen == 0 ? 1
-                               : std::min(BackoffLen * 2,
-                                          Config.Lookahead.MaxBackoffEpochs);
-  BackoffRemaining = BackoffLen;
 }

@@ -22,7 +22,6 @@
 #define ATMEM_CORE_RUNTIME_H
 
 #include "analyzer/Analyzer.h"
-#include "analyzer/LookaheadPlanner.h"
 #include "core/SimContext.h"
 #include "mem/AtmemMigrator.h"
 #include "mem/DataObjectRegistry.h"
@@ -39,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace atmem {
@@ -65,35 +63,6 @@ enum class PlacementStrategy {
   /// a traffic split proportional to the tiers' bandwidths so both
   /// memories stream concurrently.
   BandwidthBalanced,
-};
-
-/// Lookahead migration scheduling (off by default: placement, decision
-/// logs and simulated times are then byte-identical to a runtime without
-/// the subsystem). Only meaningful with the Atmem mechanism — the staged
-/// pipeline is what makes an overlapped prefetch commit cheap.
-struct LookaheadOptions {
-  bool Enabled = false;
-  /// Trend-prediction and convergence tuning.
-  analyzer::LookaheadPlannerConfig Planner;
-  /// Fraction of the fast tier's post-migration free bytes the prefetch
-  /// pipeline may reserve. Each staged byte holds 2x (staging buffer now
-  /// plus the commit-time remap), so the effective payload budget is half
-  /// of this slice — a *hard* cap, never borrowed against demand.
-  double CapacityFraction = 0.5;
-  /// Adaptive epoch scheduling: optimize() calls made while placement has
-  /// converged return immediately (no analysis, no decision-log epoch,
-  /// no migrations) for a doubling number of epochs, re-arming on drift.
-  bool AdaptiveEpochs = true;
-  /// Churn-free streak (LookaheadPlannerConfig::ConvergenceEpochs deep
-  /// each) before the first back-off window opens.
-  uint32_t ConvergedEpochsToBackoff = 2;
-  /// Back-off windows double up to this many skipped epochs.
-  uint32_t MaxBackoffEpochs = 8;
-  /// Drift detector: a backed-off epoch still sees the last iteration's
-  /// per-tier miss split; when the slow tier's share of misses reaches
-  /// this fraction, the pattern has shifted and analysis re-arms
-  /// immediately.
-  double DriftSlowMissFraction = 0.5;
 };
 
 /// Complete runtime configuration.
@@ -139,8 +108,6 @@ struct RuntimeConfig {
   /// each thread a private LLC shard of SizeBytes / T plus private stats
   /// and miss buffers, merged deterministically at endIteration().
   uint32_t SimThreads = 1;
-  /// Lookahead migration scheduling and adaptive epoch back-off.
-  LookaheadOptions Lookahead;
   /// Telemetry collection and export. Constructing a Runtime with
   /// Enabled (or any output path) set arms the process-wide obs switch;
   /// with the default (disabled) config every instrumentation site costs
@@ -161,28 +128,6 @@ struct SkippedChunk {
   sim::TierId Target = sim::TierId::Fast;
   /// Highest per-chunk priority (Eq. 1 PR) in the range at skip time.
   double Priority = 0.0;
-};
-
-/// Cumulative outcome counters of the lookahead scheduler. All zero while
-/// lookahead is off; tests and the micro_lookahead bench read them.
-struct LookaheadStats {
-  /// Chunks the planner nominated (before the capacity budget).
-  uint64_t PredictedChunks = 0;
-  /// Staging buffers successfully mapped ahead of demand.
-  uint64_t StagedRanges = 0;
-  /// Prediction hits: staged ranges the fresh plan confirmed, committed
-  /// at the boundary for the price of a remap.
-  uint64_t CommittedRanges = 0;
-  /// Staged ranges dropped without touching placement (misprediction,
-  /// failed copy, or failed commit).
-  uint64_t CancelledRanges = 0;
-  /// Overlapped copies that hit an injected fault.
-  uint64_t CopyFaults = 0;
-  /// optimize() calls skipped by the adaptive epoch back-off.
-  uint64_t BackedOffEpochs = 0;
-  /// Staging-copy seconds absorbed by the compute overlap — demand-path
-  /// migrations would have paid these as boundary stall.
-  double OverlappedSimSec = 0.0;
 };
 
 /// The ATMem runtime for one simulated testbed.
@@ -302,10 +247,6 @@ public:
   /// instead of dropping them.
   const std::vector<SkippedChunk> &skippedChunks() const { return Skipped; }
 
-  /// Cumulative lookahead scheduler outcomes (all zero when
-  /// Config.Lookahead.Enabled is false).
-  const LookaheadStats &lookaheadStats() const { return LkStats; }
-
   sim::Machine &machine() { return M; }
   mem::DataObjectRegistry &registry() { return Registry; }
   prof::SamplingProfiler &profiler() { return Profiler; }
@@ -351,29 +292,6 @@ private:
   /// each 2 MiB run of huge-mapped misses with one translation.
   void replayTlbBatched();
 
-  /// \name Lookahead pipeline steps (no-ops while Lookahead is disabled)
-  /// @{
-  /// Joins the overlapped copy thread so every staged range's CopyDone is
-  /// settled before the boundary reads it.
-  void joinLookaheadCopies();
-  /// Destructor path: joins the copy thread and cancels anything still
-  /// staged so no staging region outlives the runtime.
-  void shutdownLookahead();
-  /// Adaptive epoch back-off: true when this optimize() call should be
-  /// skipped outright (converged placement, no drift, nothing staged).
-  bool skipConvergedEpoch();
-  /// Epoch-boundary resolution: commit staged ranges the fresh plan
-  /// confirmed, cancel the rest. Runs before demotions/promotions so the
-  /// demand path sees the committed chunks as already placed.
-  void resolveStagedAhead(mem::MigrationResult &Result);
-  /// Feeds the planner this epoch's trend features, predicts, stages the
-  /// winners under the capacity budget, and launches the overlapped copy.
-  void stageLookahead(
-      const std::vector<analyzer::ObjectClassification> &Classes);
-  /// Converged-streak accounting and back-off window arming.
-  void updateBackoff();
-  /// @}
-
   /// The calling thread's shard binding inside a parallelTracked region.
   /// Owner disambiguates between runtimes when several coexist (the
   /// concurrent bench harness runs one runtime per job thread).
@@ -409,41 +327,18 @@ private:
   /// same objects, so last drain's hint starts warm instead of re-walking
   /// the registry index from cold every batch.
   mem::AttributionHint AttrHint;
-  /// \name Lookahead state (untouched while Config.Lookahead.Enabled is
-  /// false, so the disabled runtime is byte-identical to one predating
-  /// the subsystem)
-  /// @{
-  std::unique_ptr<analyzer::LookaheadPlanner> Lookahead;
-  /// Ranges staged ahead for the next epoch boundary. Written on the
-  /// optimize() thread; the copy thread only mutates CopyDone /
-  /// OverlappedSimSec of its entries and is joined before they are read.
-  std::vector<mem::StagedAheadRange> StagedRanges;
-  std::thread LookaheadCopyThread;
-  uint32_t ConvergedStreak = 0;
-  uint32_t BackoffLen = 0;
-  uint32_t BackoffRemaining = 0;
-  LookaheadStats LkStats;
-  /// Churn inputs of the epoch being built (reset at each optimize()).
-  uint64_t EpochRenominated = 0;
-  uint64_t EpochRollbacks = 0;
-  /// @}
   bool TrackingEnabled = true;
   /// True while a "runtime.iteration" trace span is open (beginIteration
   /// ran with telemetry enabled; endIteration closes it).
   bool IterationSpanOpen = false;
   /// \name Live observability (inert unless Telemetry configures it)
   /// @{
-  /// 1-based ordinal of optimize() calls that ran a full epoch (skipped
-  /// converged epochs do not count) — the time-series x axis.
+  /// 1-based ordinal of optimize() calls — the time-series x axis.
   uint64_t OptimizeEpochs = 0;
-  /// Migration retries of the epoch being built (companion to
-  /// EpochRenominated/EpochRollbacks, reset every optimize()).
+  /// Migration retries and range rollbacks of the epoch being built
+  /// (reset every optimize()).
   uint64_t EpochRetries = 0;
-  /// LkStats values at the previous epoch boundary, so samples report
-  /// per-epoch deltas of the cumulative lookahead counters.
-  uint64_t TsPrevStaged = 0;
-  uint64_t TsPrevCancelled = 0;
-  double TsPrevOverlap = 0.0;
+  uint64_t EpochRollbacks = 0;
   /// Snapshot server for --stats-socket (null when not requested, so the
   /// only cost in that mode is a pointer null check at shutdown).
   std::unique_ptr<obs::StatsServer> StatsServer;
@@ -465,8 +360,7 @@ private:
 
   /// Captures this epoch's time-series sample, feeds the health monitor,
   /// and refreshes the stats snapshot (no-ops when no sink is configured).
-  void captureEpochSample(const mem::MigrationResult &Result,
-                          uint64_t RollbacksBefore, double WallUs,
+  void captureEpochSample(const mem::MigrationResult &Result, double WallUs,
                           double IterWallUs);
   /// Reports the chunks \p Moved actually placed on \p ToFast's tier to
   /// the health monitor's ping-pong tracker (no-op when HealthMon is

@@ -8,6 +8,7 @@
 #include "FaultInjection.h"
 
 #include "../support/Prng.h"
+#include "../support/StringUtils.h"
 
 #include <cstdlib>
 #include <map>
@@ -158,22 +159,6 @@ void setError(std::string *Error, const std::string &Message) {
     *Error = Message;
 }
 
-bool parseUnsigned(std::string_view Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (Value > (UINT64_MAX - Digit) / 10)
-      return false;
-    Value = Value * 10 + Digit;
-  }
-  Out = Value;
-  return true;
-}
-
 bool parseProbability(std::string_view Text, double &Out) {
   if (Text.empty())
     return false;
@@ -210,7 +195,7 @@ bool parseEntry(std::string_view Entry, std::string &Name, FaultPlan &Plan,
   std::string_view Args = Trig.substr(Colon + 1);
   if (Kind == "nth" || Kind == "every") {
     uint64_t N = 0;
-    if (!parseUnsigned(Args, N) || N == 0) {
+    if (!tryParseUnsigned(Args, N) || N == 0) {
       setError(Error, "fault-spec trigger '" + std::string(Trig) +
                           "' needs a positive integer");
       return false;
@@ -234,7 +219,7 @@ bool parseEntry(std::string_view Entry, std::string &Name, FaultPlan &Plan,
       return false;
     }
     Plan.Seed = 1;
-    if (!SeedText.empty() && !parseUnsigned(SeedText, Plan.Seed)) {
+    if (!SeedText.empty() && !tryParseUnsigned(SeedText, Plan.Seed)) {
       setError(Error, "fault-spec seed '" + std::string(SeedText) +
                           "' must be a non-negative integer");
       return false;

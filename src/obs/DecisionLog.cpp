@@ -725,12 +725,6 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       case DecisionPhase::Renominated:
         ++Local.Renominated;
         break;
-      case DecisionPhase::StagedAhead:
-        ++Local.StagedAhead;
-        break;
-      case DecisionPhase::PrefetchCancelled:
-        ++Local.PrefetchCancelled;
-        break;
       default:
         break;
       }
@@ -847,8 +841,6 @@ bool obs::crossCheckDecisionMetrics(const DecisionArtifact &Artifact,
       {"migration.retries", Stats.Retried},
       {"migration.skipped_renominated", Stats.Renominated},
       {"analyzer.chunks_estimated_critical", Stats.PromotedChunks},
-      {"lookahead.staged_ranges", Stats.StagedAhead},
-      {"lookahead.cancelled_ranges", Stats.PrefetchCancelled},
   };
   for (const Check &C : Checks) {
     uint64_t FromMetrics = counter(C.Counter);

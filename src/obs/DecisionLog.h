@@ -74,9 +74,10 @@ enum class DecisionPhase : uint8_t {
   Degraded = 6,   ///< Capacity shrink dropped the range from the attempt.
   Skipped = 7,    ///< Left unplaced; recorded for re-nomination.
   Renominated = 8, ///< A previously skipped range re-entered the plan.
-  StagedAhead = 9, ///< Lookahead prefetch: staging mapped ahead of demand.
-  PrefetchCancelled = 10, ///< Staged-ahead range dropped (misprediction or
-                          ///< fault); staging released, placement untouched.
+  /// Retired: phases of a removed lookahead prefetch pipeline. No writer
+  /// emits them; they stay so older atdl-v1 files still decode.
+  StagedAhead = 9,
+  PrefetchCancelled = 10,
 };
 
 const char *decisionPhaseName(DecisionPhase Phase);
@@ -265,8 +266,6 @@ struct DecisionLogStats {
   uint64_t Retried = 0;
   uint64_t Skipped = 0;
   uint64_t Renominated = 0;
-  uint64_t StagedAhead = 0;        ///< Lookahead prefetch stagings.
-  uint64_t PrefetchCancelled = 0;  ///< Staged-ahead ranges dropped.
 };
 
 /// \name Low-level atdl-v1 codec

@@ -3,6 +3,7 @@
 #include "fault/FaultInjection.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -317,4 +318,16 @@ bool obs::parseJsonFile(const std::string &Path, JsonValue &Out,
     return false;
   }
   return parseJson(Text, Out, Error);
+}
+
+bool obs::toUnsigned(double Value, uint64_t Max, uint64_t &Out) {
+  // 0x1p64 is the first double past UINT64_MAX; the negated comparison
+  // also rejects NaN.
+  if (!(Value >= 0.0 && Value < 0x1p64) || Value != std::floor(Value))
+    return false;
+  auto V = static_cast<uint64_t>(Value);
+  if (V > Max)
+    return false;
+  Out = V;
+  return true;
 }

@@ -19,6 +19,7 @@
 #define ATMEM_OBS_JSON_H
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,6 +63,12 @@ bool parseJson(std::string_view Text, JsonValue &Out,
 /// Reads and parses a whole file; false on I/O or parse failure.
 bool parseJsonFile(const std::string &Path, JsonValue &Out,
                    std::string *Error = nullptr);
+
+/// Converts a parsed number to an unsigned integer no larger than \p Max.
+/// False for a negative, NaN, fractional or out-of-range \p Value (a
+/// plain static_cast of those is undefined behaviour); \p Out is then
+/// unchanged.
+bool toUnsigned(double Value, uint64_t Max, uint64_t &Out);
 
 } // namespace obs
 } // namespace atmem

@@ -125,11 +125,6 @@ std::string timeSeriesJsonl(const std::vector<EpochSample> &Samples) {
             S.MigrationBytes, S.MigrationRanges, S.Retries, S.Rollbacks);
     Out += ",\"migrate_sim_sec\":";
     appendDouble(Out, S.MigrateSimSec);
-    appendf(Out,
-            ",\"lookahead_staged\":%" PRIu64 ",\"lookahead_cancelled\":%" PRIu64,
-            S.LookaheadStaged, S.LookaheadCancelled);
-    Out += ",\"lookahead_overlap_sec\":";
-    appendDouble(Out, S.LookaheadOverlapSec);
     Out += ",\"fast_data_ratio\":";
     appendDouble(Out, S.FastDataRatio);
     Out += ",\"optimize_wall_us\":";
@@ -175,8 +170,15 @@ bool parseTimeSeriesJsonl(const std::string &Text,
       const JsonValue *V = Doc.findNumber(Key);
       return V ? V->NumberVal : 0.0;
     };
+    // The first integer field that fails the checked conversion, reported
+    // once the line is read.
+    const char *BadKey = nullptr;
     auto U64 = [&](const char *Key) {
-      return static_cast<uint64_t>(Num(Key));
+      uint64_t V = 0;
+      const JsonValue *N = Doc.findNumber(Key);
+      if (N && !toUnsigned(N->NumberVal, UINT64_MAX, V) && !BadKey)
+        BadKey = Key;
+      return V;
     };
     if (!Doc.findNumber("epoch"))
       return Fail("line " + std::to_string(LineNo) + " lacks \"epoch\"");
@@ -192,12 +194,12 @@ bool parseTimeSeriesJsonl(const std::string &Text,
     S.Retries = U64("retries");
     S.Rollbacks = U64("rollbacks");
     S.MigrateSimSec = Num("migrate_sim_sec");
-    S.LookaheadStaged = U64("lookahead_staged");
-    S.LookaheadCancelled = U64("lookahead_cancelled");
-    S.LookaheadOverlapSec = Num("lookahead_overlap_sec");
     S.FastDataRatio = Num("fast_data_ratio");
     S.OptimizeWallUs = Num("optimize_wall_us");
     S.IterationWallUs = Num("iteration_wall_us");
+    if (BadKey)
+      return Fail("line " + std::to_string(LineNo) + ": \"" + BadKey +
+                  "\" is not a non-negative integer");
     Out.push_back(S);
   }
   if (!SawHeader)
@@ -271,12 +273,6 @@ std::string timeSeriesOpenMetrics(const std::vector<EpochSample> &Samples,
              [&](const EpochSample &S) { return U(S.Rollbacks); });
   emitFamily(Out, "atmem_epoch_migrate_sim_sec", Samples, Run,
              [](const EpochSample &S) { return S.MigrateSimSec; });
-  emitFamily(Out, "atmem_epoch_lookahead_staged", Samples, Run,
-             [&](const EpochSample &S) { return U(S.LookaheadStaged); });
-  emitFamily(Out, "atmem_epoch_lookahead_cancelled", Samples, Run,
-             [&](const EpochSample &S) { return U(S.LookaheadCancelled); });
-  emitFamily(Out, "atmem_epoch_lookahead_overlap_sec", Samples, Run,
-             [](const EpochSample &S) { return S.LookaheadOverlapSec; });
   emitFamily(Out, "atmem_epoch_fast_data_ratio", Samples, Run,
              [](const EpochSample &S) { return S.FastDataRatio; });
   emitFamily(Out, "atmem_epoch_optimize_wall_us", Samples, Run,

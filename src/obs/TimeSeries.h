@@ -57,13 +57,6 @@ struct EpochSample {
   double MigrateSimSec = 0.0;
   /// @}
 
-  /// \name Lookahead scheduling
-  /// @{
-  uint64_t LookaheadStaged = 0;
-  uint64_t LookaheadCancelled = 0;
-  double LookaheadOverlapSec = 0.0;
-  /// @}
-
   /// Fraction of tracked bytes resident in the fast tier after the
   /// epoch's migrations.
   double FastDataRatio = 0.0;
@@ -117,7 +110,9 @@ std::string openMetricsEscapeLabel(const std::string &Value);
 /// Parses an "atmem-timeseries-v1" JSONL document back into samples
 /// (tools/atmem_doctor and atmem_obs_check --timeseries). Fields absent
 /// from a line default to 0, so logs from before a field was added still
-/// load. False (with \p Error) on a malformed header or line; \p Out then
+/// load, and keys the reader does not know (fields a later build dropped)
+/// are ignored. False (with \p Error) on a malformed header or line, or an
+/// integer field that is negative, fractional or out of range; \p Out then
 /// holds the samples parsed before the failure.
 bool parseTimeSeriesJsonl(const std::string &Text,
                           std::vector<EpochSample> &Out,

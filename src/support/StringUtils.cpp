@@ -75,13 +75,26 @@ bool atmem::startsWith(std::string_view Text, std::string_view Prefix) {
          Text.substr(0, Prefix.size()) == Prefix;
 }
 
-uint64_t atmem::parseUnsigned(std::string_view Text) {
+bool atmem::tryParseUnsigned(std::string_view Text, uint64_t &Out) {
+  // strtoull skips leading space and accepts a sign ("-1" wraps to
+  // UINT64_MAX), so the first character must already be a digit.
+  if (Text.empty() || Text[0] < '0' || Text[0] > '9')
+    return false;
   std::string Copy(Text);
   errno = 0;
   char *End = nullptr;
   unsigned long long Value = std::strtoull(Copy.c_str(), &End, 10);
-  if (errno != 0 || End == Copy.c_str() || *End != '\0')
-    reportFatalError("malformed unsigned integer: '" + Copy + "'");
+  if (errno != 0 || End != Copy.c_str() + Copy.size())
+    return false;
+  Out = Value;
+  return true;
+}
+
+uint64_t atmem::parseUnsigned(std::string_view Text) {
+  uint64_t Value = 0;
+  if (!tryParseUnsigned(Text, Value))
+    reportFatalError("malformed unsigned integer: '" + std::string(Text) +
+                     "'");
   return Value;
 }
 

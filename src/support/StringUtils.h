@@ -42,8 +42,13 @@ std::vector<std::string> splitString(std::string_view Text, char Sep);
 /// True when \p Text begins with \p Prefix.
 bool startsWith(std::string_view Text, std::string_view Prefix);
 
-/// Parses a non-negative integer; aborts with a fatal error on malformed
-/// input (tool-level helper, not for untrusted data paths).
+/// Parses a non-negative decimal integer into \p Out. False, with \p Out
+/// unchanged, when the text is empty, does not start with a digit (a sign
+/// or leading space), has trailing characters, or overflows 64 bits.
+bool tryParseUnsigned(std::string_view Text, uint64_t &Out);
+
+/// tryParseUnsigned() that aborts with a fatal error on malformed input
+/// (tool-level helper, not for untrusted data paths).
 uint64_t parseUnsigned(std::string_view Text);
 
 /// Parses a double; aborts with a fatal error on malformed input.

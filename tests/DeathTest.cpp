@@ -16,6 +16,7 @@
 #include "sim/CacheSim.h"
 #include "sim/Tlb.h"
 #include "support/Error.h"
+#include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +31,17 @@ TEST(DeathTest, ReportFatalErrorAborts) {
 
 TEST(DeathTest, UnreachableAborts) {
   EXPECT_DEATH(ATMEM_UNREACHABLE("impossible"), "impossible");
+}
+
+TEST(DeathTest, ParseUnsignedRejectsSignedAndOverflowingText) {
+  // The fatal parser behind --iterations and --sim-threads; strtoull alone
+  // would wrap "-1" to 2^64 - 1.
+  EXPECT_DEATH(parseUnsigned("-1"), "malformed unsigned integer: '-1'");
+  EXPECT_DEATH(parseUnsigned("+1"), "malformed unsigned integer");
+  EXPECT_DEATH(parseUnsigned(" 1"), "malformed unsigned integer");
+  EXPECT_DEATH(parseUnsigned("18446744073709551616"),
+               "malformed unsigned integer");
+  EXPECT_EQ(parseUnsigned("42"), 42u);
 }
 
 TEST(DeathTest, TableRowWidthMismatchAborts) {

@@ -154,6 +154,69 @@ TEST_F(DecisionLogTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(GotEvent->FirstChunk, 16u);
 }
 
+TEST_F(DecisionLogTest, RetiredLookaheadPhasesStillDecode) {
+  // Phases 9 and 10 came from a since-removed lookahead prefetch pipeline.
+  // Nothing emits them now, but atdl-v1 files holding them must still
+  // decode, validate, export and render.
+  std::string Path = tempPath("decision_retired_phases.atdl");
+  DecisionLog &Log = DecisionLog::instance();
+  std::string Error;
+  ASSERT_TRUE(Log.open(Path, &Error)) << Error;
+  for (int Epoch = 1; Epoch <= 2; ++Epoch) {
+    Log.beginEpoch();
+    ObjectEpochRecord Obj;
+    Obj.Object = 3;
+    Obj.NameId = Log.nameId("rank");
+    Obj.NumChunks = 8;
+    Log.recordObject(Obj);
+    MigrationEventRecord Event;
+    Event.Object = 3;
+    Event.FirstChunk = 2;
+    Event.NumChunks = 2;
+    Event.TargetFast = 1;
+    Event.Phase = Epoch == 1 ? DecisionPhase::StagedAhead
+                             : DecisionPhase::PrefetchCancelled;
+    Log.recordMigration(Event);
+    Event.Phase = DecisionPhase::Committed;
+    Log.recordMigration(Event);
+  }
+  ASSERT_TRUE(Log.close(&Error)) << Error;
+
+  DecisionArtifact Artifact = readBack(Path);
+  DecisionLogStats Stats;
+  ASSERT_TRUE(validateDecisionLog(Artifact, &Error, &Stats)) << Error;
+  EXPECT_EQ(Stats.Epochs, 2u);
+  EXPECT_EQ(Stats.CommittedRanges, 2u);
+  std::vector<DecisionPhase> Phases;
+  for (const DecisionRecord &Rec : Artifact.Records)
+    if (Rec.Kind == DecisionKind::MigrationEvent)
+      Phases.push_back(Rec.Migration.Phase);
+  EXPECT_EQ(Phases, (std::vector<DecisionPhase>{
+                        DecisionPhase::StagedAhead, DecisionPhase::Committed,
+                        DecisionPhase::PrefetchCancelled,
+                        DecisionPhase::Committed}));
+  EXPECT_STREQ(decisionPhaseName(DecisionPhase::StagedAhead), "staged_ahead");
+  EXPECT_STREQ(decisionPhaseName(DecisionPhase::PrefetchCancelled),
+               "prefetch_cancelled");
+
+  std::string Jsonl = decisionJsonl(Artifact);
+  EXPECT_NE(Jsonl.find("\"staged_ahead\""), std::string::npos);
+  EXPECT_NE(Jsonl.find("\"prefetch_cancelled\""), std::string::npos);
+
+  // The why-chain lists the retired phase by name; the heatmap draws the
+  // commits and no glyph for the retired phases.
+  WhyQuery Query;
+  Query.Object = "rank";
+  Query.Chunk = 2;
+  Query.Epoch = 2;
+  std::string Why;
+  ASSERT_TRUE(explainChunk(Artifact, Query, Why, &Error)) << Error;
+  EXPECT_NE(Why.find("prefetch_cancelled"), std::string::npos) << Why;
+  std::string Map = renderHeatmap(Artifact, "rank");
+  EXPECT_NE(Map.find("..##...."), std::string::npos) << Map;
+  EXPECT_EQ(Map.find('>'), std::string::npos) << Map;
+}
+
 TEST_F(DecisionLogTest, RecordingWhileClosedIsANoOp) {
   ObjectEpochRecord Obj;
   DecisionLog::instance().recordObject(Obj); // Must not crash or write.

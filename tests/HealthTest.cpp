@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -107,7 +108,7 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   std::string Error;
   ASSERT_TRUE(parseHealthKnobs(
       "ewma_alpha=0.5,cusum_warn=0.2,warmup_epochs=4,storm_min_ranges=16,"
-      "pingpong_window=8,waste_warn_ratio=0.25,overhead_critical=2.0,"
+      "pingpong_window=8,overhead_critical=2.0,"
       "stale_slow_miss=0.75",
       Cfg, &Error))
       << Error;
@@ -116,7 +117,6 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   EXPECT_EQ(Cfg.WarmupEpochs, 4u);
   EXPECT_EQ(Cfg.StormMinRanges, 16u);
   EXPECT_EQ(Cfg.PingPongWindowEpochs, 8u);
-  EXPECT_DOUBLE_EQ(Cfg.WasteWarnRatio, 0.25);
   EXPECT_DOUBLE_EQ(Cfg.OverheadCriticalFraction, 2.0);
   EXPECT_DOUBLE_EQ(Cfg.StaleSlowMissFraction, 0.75);
   // Untouched knobs keep their defaults.
@@ -134,6 +134,24 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   EXPECT_FALSE(parseHealthKnobs("ewma_alpha=abc", Cfg, &Error));
   EXPECT_FALSE(parseHealthKnobs("ewma_alpha", Cfg, &Error));
   EXPECT_DOUBLE_EQ(Cfg.EwmaAlpha, Before.EwmaAlpha);
+
+  // Count knobs take only whole numbers that fit their field: a negative,
+  // huge, NaN or fractional value names the knob and changes nothing.
+  for (const char *Spec :
+       {"warmup_epochs=-1", "warmup_epochs=1e30", "warmup_epochs=nan",
+        "warmup_epochs=4294967296", "warmup_epochs=2.5",
+        "storm_min_ranges=-1", "storm_min_ranges=1e30"}) {
+    std::string Key(Spec, std::strchr(Spec, '='));
+    Error.clear();
+    EXPECT_FALSE(parseHealthKnobs(Spec, Cfg, &Error)) << Spec;
+    EXPECT_NE(Error.find("knob '" + Key + "'"), std::string::npos)
+        << Spec << ": " << Error;
+    EXPECT_EQ(Cfg.WarmupEpochs, Before.WarmupEpochs) << Spec;
+    EXPECT_EQ(Cfg.StormMinRanges, Before.StormMinRanges) << Spec;
+  }
+  ASSERT_TRUE(parseHealthKnobs("warmup_epochs=4294967295", Cfg, &Error))
+      << Error;
+  EXPECT_EQ(Cfg.WarmupEpochs, 4294967295u);
 }
 
 TEST_F(HealthTest, NameTablesRoundTrip) {
@@ -307,35 +325,6 @@ TEST_F(HealthTest, PingPongCountsDirectionFlipsInWindow) {
   expectEvent(All[3], 6, HealthDetector::PingPong, HealthSeverity::Info);
 }
 
-TEST_F(HealthTest, LookaheadWasteJudgesWindowRatio) {
-  HealthMonitor Mon;
-  std::vector<HealthEvent> All;
-  auto Feed = [&](uint64_t Epoch, uint64_t Staged, uint64_t Cancelled) {
-    EpochSample S = quietSample(Epoch);
-    S.LookaheadStaged = Staged;
-    S.LookaheadCancelled = Cancelled;
-    for (HealthEvent &E : Mon.observeEpoch(S))
-      All.push_back(std::move(E));
-  };
-  Feed(1, 10, 0);  // ratio 0 -> green
-  Feed(2, 10, 16); // 16/20 = 0.8 -> warn
-  Feed(3, 0, 20);  // 36/20 = 1.8 -> critical
-  Feed(4, 0, 0);   // window still saturated -> red, no event
-  Feed(5, 0, 0);
-  Feed(6, 0, 0);   // staging fell out of the window -> recovered
-
-  ASSERT_EQ(All.size(), 3u);
-  expectEvent(All[0], 2, HealthDetector::LookaheadWaste, HealthSeverity::Warn);
-  EXPECT_NEAR(All[0].Value, 0.8, 1e-9);
-  expectEvent(All[1], 3, HealthDetector::LookaheadWaste,
-              HealthSeverity::Critical);
-  EXPECT_NEAR(All[1].Value, 1.8, 1e-9);
-  EXPECT_NE(All[1].Detail.find("36 of 20 staged ranges cancelled"),
-            std::string::npos)
-      << All[1].Detail;
-  expectEvent(All[2], 6, HealthDetector::LookaheadWaste, HealthSeverity::Info);
-}
-
 TEST_F(HealthTest, OverheadBudgetComparesOptimizeToIterationWall) {
   HealthConfig Cfg;
   Cfg.OverheadCriticalFraction = 0.9; // opt in (default is disabled)
@@ -437,6 +426,24 @@ TEST_F(HealthTest, ParseHealthLogRejectsMalformedDocuments) {
   Out.clear();
   EXPECT_FALSE(parseHealthLog(Doc, Out, &Error));
   EXPECT_NE(Error.find("martian"), std::string::npos);
+
+  // An epoch a plain cast could not represent fails the line by number.
+  for (const char *Epoch : {"-1", "1e30", "2.5"}) {
+    Doc = std::string("{\"schema\":\"atmem-health-v1\"}\n"
+                      "{\"epoch\":1,\"detector\":\"ping_pong\","
+                      "\"severity\":\"warn\",\"value\":1,\"threshold\":1,"
+                      "\"detail\":\"\"}\n"
+                      "{\"epoch\":") +
+          Epoch +
+          ",\"detector\":\"ping_pong\",\"severity\":\"info\","
+          "\"value\":0,\"threshold\":1,\"detail\":\"\"}\n";
+    Out.clear();
+    Error.clear();
+    EXPECT_FALSE(parseHealthLog(Doc, Out, &Error)) << Epoch;
+    EXPECT_NE(Error.find("line 3"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("epoch"), std::string::npos) << Error;
+    EXPECT_EQ(Out.size(), 1u) << Epoch;
+  }
 }
 
 TEST_F(HealthTest, HealthLogWritesHeaderAndEvents) {

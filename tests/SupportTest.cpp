@@ -257,6 +257,27 @@ TEST(StringUtilsTest, StartsWith) {
 TEST(StringUtilsTest, ParseUnsigned) {
   EXPECT_EQ(parseUnsigned("0"), 0u);
   EXPECT_EQ(parseUnsigned("123456789"), 123456789u);
+  EXPECT_EQ(parseUnsigned("42"), 42u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615"), UINT64_MAX);
+}
+
+TEST(StringUtilsTest, TryParseUnsignedRejectsSignsSpaceAndOverflow) {
+  uint64_t Out = 7;
+  EXPECT_TRUE(tryParseUnsigned("42", Out));
+  EXPECT_EQ(Out, 42u);
+  EXPECT_TRUE(tryParseUnsigned("18446744073709551615", Out));
+  EXPECT_EQ(Out, UINT64_MAX);
+  // strtoull would take "-1" as 2^64 - 1 and skip the sign or space; a
+  // failed parse leaves Out alone.
+  Out = 7;
+  for (const char *Bad : {"-1", "+1", " 1", "18446744073709551616", "", "1x",
+                          "0x10", "1 "}) {
+    EXPECT_FALSE(tryParseUnsigned(Bad, Out)) << "'" << Bad << "'";
+    EXPECT_EQ(Out, 7u) << "'" << Bad << "'";
+  }
+  // A view is parsed by its length, not up to a terminator.
+  EXPECT_TRUE(tryParseUnsigned(std::string_view("12345", 2), Out));
+  EXPECT_EQ(Out, 12u);
 }
 
 TEST(StringUtilsTest, ParseDouble) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -57,9 +58,6 @@ EpochSample sampleOne() {
   S.Retries = 1;
   S.Rollbacks = 0;
   S.MigrateSimSec = 0.0125;
-  S.LookaheadStaged = 2;
-  S.LookaheadCancelled = 1;
-  S.LookaheadOverlapSec = 0.5;
   S.FastDataRatio = 0.25;
   S.OptimizeWallUs = 842.0;
   return S;
@@ -148,9 +146,6 @@ TEST_F(TimeSeriesTest, JsonlEveryLineParsesAndFieldsRoundTrip) {
   EXPECT_EQ(number(Doc, "retries"), 1.0);
   EXPECT_EQ(number(Doc, "rollbacks"), 0.0);
   EXPECT_DOUBLE_EQ(number(Doc, "migrate_sim_sec"), 0.0125);
-  EXPECT_EQ(number(Doc, "lookahead_staged"), 2.0);
-  EXPECT_EQ(number(Doc, "lookahead_cancelled"), 1.0);
-  EXPECT_DOUBLE_EQ(number(Doc, "lookahead_overlap_sec"), 0.5);
   EXPECT_DOUBLE_EQ(number(Doc, "fast_data_ratio"), 0.25);
   EXPECT_DOUBLE_EQ(number(Doc, "optimize_wall_us"), 842.0);
 
@@ -272,6 +267,61 @@ TEST_F(TimeSeriesTest, ParseRejectsMissingHeaderAndBadLines) {
       "{\"schema\":\"atmem-timeseries-v1\",\"epochs\":1}\n"
       "{\"accesses\":5}\n",
       Parsed, &Error)); // An epoch line without "epoch".
+
+  // Integer fields a plain cast could not represent fail the parse with
+  // the line number and key; the lines before it are kept.
+  for (const char *Bad : {"\"accesses\":-1", "\"migration_bytes\":1e30",
+                          "\"retries\":2.5", "\"epoch\":-3"}) {
+    std::string Doc = std::string("{\"schema\":\"atmem-timeseries-v1\","
+                                  "\"epochs\":2}\n"
+                                  "{\"epoch\":1,\"accesses\":5}\n{") +
+                      Bad + ",\"epoch\":2}\n";
+    std::string Key(Bad + 1, std::strchr(Bad + 1, '"'));
+    Parsed.clear();
+    Error.clear();
+    EXPECT_FALSE(parseTimeSeriesJsonl(Doc, Parsed, &Error)) << Bad;
+    EXPECT_NE(Error.find("line 3"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("\"" + Key + "\""), std::string::npos) << Error;
+    EXPECT_EQ(Parsed.size(), 1u) << Bad;
+  }
+}
+
+TEST_F(TimeSeriesTest, RetiredLookaheadFieldsStillParse) {
+  // Series written while the runtime still had a lookahead scheduler carry
+  // three more keys between migrate_sim_sec and fast_data_ratio; the
+  // reader skips them and keeps every other field.
+  std::string Old =
+      "{\"schema\":\"atmem-timeseries-v1\",\"epochs\":1}\n"
+      "{\"epoch\":3,\"accesses\":1000,\"misses_fast\":40,"
+      "\"misses_slow\":120,\"slow_miss_fraction\":0.75,"
+      "\"drain_misses_per_sec\":1500000,\"migration_bytes\":1048576,"
+      "\"migration_ranges\":3,\"retries\":1,\"rollbacks\":2,"
+      "\"migrate_sim_sec\":0.0125,\"lookahead_staged\":57,"
+      "\"lookahead_cancelled\":11,\"lookahead_overlap_sec\":0.5,"
+      "\"fast_data_ratio\":0.25,\"optimize_wall_us\":842,"
+      "\"iteration_wall_us\":1234.5}\n";
+  std::vector<EpochSample> Parsed;
+  std::string Error;
+  ASSERT_TRUE(parseTimeSeriesJsonl(Old, Parsed, &Error)) << Error;
+  ASSERT_EQ(Parsed.size(), 1u);
+  const EpochSample &S = Parsed[0];
+  EXPECT_EQ(S.Epoch, 3u);
+  EXPECT_EQ(S.Accesses, 1000u);
+  EXPECT_EQ(S.MissesFast, 40u);
+  EXPECT_EQ(S.MissesSlow, 120u);
+  EXPECT_DOUBLE_EQ(S.SlowMissFraction, 0.75);
+  EXPECT_DOUBLE_EQ(S.DrainMissesPerSec, 1.5e6);
+  EXPECT_EQ(S.MigrationBytes, 1048576u);
+  EXPECT_EQ(S.MigrationRanges, 3u);
+  EXPECT_EQ(S.Retries, 1u);
+  EXPECT_EQ(S.Rollbacks, 2u);
+  EXPECT_DOUBLE_EQ(S.MigrateSimSec, 0.0125);
+  EXPECT_DOUBLE_EQ(S.FastDataRatio, 0.25);
+  EXPECT_DOUBLE_EQ(S.OptimizeWallUs, 842.0);
+  EXPECT_DOUBLE_EQ(S.IterationWallUs, 1234.5);
+
+  // Re-serializing drops the retired keys.
+  EXPECT_EQ(timeSeriesJsonl(Parsed).find("lookahead"), std::string::npos);
 }
 
 TEST_F(TimeSeriesTest, OpenMetricsLabelEscaping) {

@@ -21,6 +21,7 @@
 #include "obs/DecisionExplain.h"
 #include "obs/DecisionLog.h"
 #include "obs/RingLog.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -61,14 +62,6 @@ bool keyValue(const char *Arg, const char *Key, std::string &Out) {
     return false;
   Out = Arg + KeyLen + 1;
   return true;
-}
-
-bool parseUnsigned(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Text.c_str(), &End, 10);
-  return End && *End == '\0';
 }
 
 } // namespace
@@ -121,7 +114,7 @@ int main(int Argc, const char **Argv) {
         continue;
       if (keyValue(Arg, "chunk", Value)) {
         uint64_t N;
-        if (!parseUnsigned(Value, N)) {
+        if (!tryParseUnsigned(Value, N)) {
           std::fprintf(stderr, "error: bad chunk '%s'\n", Value.c_str());
           return 2;
         }
@@ -131,7 +124,7 @@ int main(int Argc, const char **Argv) {
       }
       if (keyValue(Arg, "iter", Value) || keyValue(Arg, "epoch", Value)) {
         uint64_t N;
-        if (!parseUnsigned(Value, N)) {
+        if (!tryParseUnsigned(Value, N)) {
           std::fprintf(stderr, "error: bad iter '%s'\n", Value.c_str());
           return 2;
         }
@@ -162,7 +155,7 @@ int main(int Argc, const char **Argv) {
       std::string Value;
       if (keyValue(Arg, "obj", Object))
         continue;
-      if (keyValue(Arg, "cols", Value) && parseUnsigned(Value, Cols) &&
+      if (keyValue(Arg, "cols", Value) && tryParseUnsigned(Value, Cols) &&
           Cols > 0)
         continue;
       std::fprintf(stderr, "error: unknown --heatmap argument '%s'\n", Arg);

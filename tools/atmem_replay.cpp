@@ -25,6 +25,7 @@
 
 #include "analyzer/ReplayHarness.h"
 #include "obs/RingLog.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -57,14 +58,6 @@ int usage(const char *Prog) {
   return 2;
 }
 
-bool parseUnsigned(const char *Text, uint64_t &Out) {
-  if (!Text || !*Text)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Text, &End, 10);
-  return End && *End == '\0';
-}
-
 } // namespace
 
 int main(int Argc, const char **Argv) {
@@ -81,7 +74,7 @@ int main(int Argc, const char **Argv) {
     if (std::strcmp(Argv[I], "--model") == 0 && I + 1 < Argc) {
       ModelPath = Argv[++I];
     } else if (std::strcmp(Argv[I], "--budget") == 0 && I + 1 < Argc) {
-      if (!parseUnsigned(Argv[++I], BudgetBytes)) {
+      if (!tryParseUnsigned(Argv[++I], BudgetBytes)) {
         std::fprintf(stderr, "atmem_replay: bad --budget '%s'\n", Argv[I]);
         return 2;
       }

@@ -30,6 +30,7 @@
 
 #include "analyzer/ReplayHarness.h"
 #include "obs/RingLog.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,14 +64,6 @@ int usage(const char *Prog) {
   return 2;
 }
 
-bool parseUnsigned(const char *Text, uint64_t &Out) {
-  if (!Text || !*Text)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Text, &End, 10);
-  return End && *End == '\0';
-}
-
 bool parseDouble(const char *Text, double &Out) {
   if (!Text || !*Text)
     return false;
@@ -95,7 +88,7 @@ int main(int Argc, const char **Argv) {
     if (std::strcmp(Argv[I], "--out") == 0 && I + 1 < Argc) {
       OutPath = Argv[++I];
     } else if (std::strcmp(Argv[I], "--budget") == 0 && I + 1 < Argc) {
-      if (!parseUnsigned(Argv[++I], BudgetBytes)) {
+      if (!tryParseUnsigned(Argv[++I], BudgetBytes)) {
         std::fprintf(stderr, "atmem_train: bad --budget '%s'\n", Argv[I]);
         return 2;
       }
