@@ -283,9 +283,8 @@ int main(int Argc, const char **Argv) {
     return 1;
 
   bool Quick = Parser.getFlag("quick");
-  auto SimThreads =
-      static_cast<uint32_t>(Parser.getUnsigned("sim-threads"));
-  auto Repeats = static_cast<uint32_t>(Parser.getUnsigned("repeats"));
+  uint32_t SimThreads = Parser.getUnsigned32("sim-threads");
+  uint32_t Repeats = Parser.getUnsigned32("repeats");
   if (Repeats == 0)
     Repeats = Quick ? 3 : 5;
   uint64_t TrackedAccesses = Quick ? 4u << 20 : 32u << 20;

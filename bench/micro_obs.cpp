@@ -114,7 +114,7 @@ int main(int Argc, const char **Argv) {
     return 1;
 
   uint64_t Epochs = Parser.getUnsigned("epochs");
-  uint32_t Chunks = static_cast<uint32_t>(Parser.getUnsigned("chunks"));
+  uint32_t Chunks = Parser.getUnsigned32("chunks");
   if (Parser.getFlag("quick"))
     Epochs = std::max<uint64_t>(1, Epochs / 10);
   std::string Dir = Parser.getString("workdir");

@@ -44,7 +44,7 @@ int main(int Argc, const char **Argv) {
     return 1;
   }
   double Scale = Parser.getDouble("scale");
-  auto Iterations = static_cast<uint32_t>(Parser.getUnsigned("iterations"));
+  uint32_t Iterations = Parser.getUnsigned32("iterations");
 
   graph::Dataset Data = graph::makeDataset(Name, Scale);
   std::printf("PageRank on %s: %u vertices, %llu edges\n", Name.c_str(),

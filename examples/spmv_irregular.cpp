@@ -31,7 +31,7 @@ int main(int Argc, const char **Argv) {
   Parser.addUnsigned("nnz-per-row", 16, "average non-zeros per row");
   if (!Parser.parse(Argc, Argv))
     return 1;
-  auto Rows = static_cast<uint32_t>(Parser.getUnsigned("rows"));
+  uint32_t Rows = Parser.getUnsigned32("rows");
   double NnzPerRow = static_cast<double>(Parser.getUnsigned("nnz-per-row"));
 
   // A power-law sparse matrix (rows = vertices, nnz = edges).

@@ -76,31 +76,51 @@ CsrGraph graph::buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
     ++RowOffsets[E.first + 1];
   for (uint32_t V = 0; V < NumVertices; ++V)
     RowOffsets[V + 1] += RowOffsets[V];
-
-  std::vector<VertexId> Cols(Edges.size());
   std::vector<uint64_t> Cursor(RowOffsets.begin(), RowOffsets.end() - 1);
-  for (const Edge &E : Edges)
-    Cols[Cursor[E.first]++] = E.second;
 
-  if (Options.SortNeighbors || Options.DeduplicateEdges)
-    for (uint32_t V = 0; V < NumVertices; ++V)
-      std::sort(Cols.begin() + RowOffsets[V], Cols.begin() + RowOffsets[V + 1]);
+  if (!Options.SortNeighbors && !Options.DeduplicateEdges) {
+    // Rows keep the input order of their edges.
+    std::vector<VertexId> Cols(Edges.size());
+    for (const Edge &E : Edges)
+      Cols[Cursor[E.first]++] = E.second;
+    return CsrGraph(std::move(RowOffsets), std::move(Cols));
+  }
+
+  // Sorted rows by two counting-sort passes. Pass 1 buckets the sources
+  // by destination; pass 2 walks the destinations in increasing order and
+  // appends each to its source's row, so every row comes out sorted, with
+  // duplicates adjacent. DstEnd[D] starts as the first slot of
+  // destination D and ends as the first slot of D + 1.
+  std::vector<uint64_t> DstEnd(NumVertices + 1, 0);
+  for (const Edge &E : Edges)
+    ++DstEnd[E.second + 1];
+  for (uint32_t V = 0; V < NumVertices; ++V)
+    DstEnd[V + 1] += DstEnd[V];
+  std::vector<VertexId> SrcByDst(Edges.size());
+  for (const Edge &E : Edges)
+    SrcByDst[DstEnd[E.second]++] = E.first;
+  // Release the edge list before Cols is allocated: the peak then stays
+  // at the list plus one 4-byte array, as with a single scatter.
+  std::vector<Edge>().swap(Edges);
+
+  std::vector<VertexId> Cols(SrcByDst.size());
+  uint64_t I = 0;
+  for (uint32_t D = 0; D < NumVertices; ++D)
+    for (; I < DstEnd[D]; ++I)
+      Cols[Cursor[SrcByDst[I]]++] = D;
 
   if (Options.DeduplicateEdges) {
-    std::vector<uint64_t> NewOffsets(NumVertices + 1, 0);
-    std::vector<VertexId> NewCols;
-    NewCols.reserve(Cols.size());
+    // Compact each row in place, keeping the first of each run.
+    uint64_t Out = 0;
     for (uint32_t V = 0; V < NumVertices; ++V) {
-      VertexId Last = ~0u;
-      for (uint64_t I = RowOffsets[V]; I < RowOffsets[V + 1]; ++I) {
-        if (Cols[I] == Last)
-          continue;
-        NewCols.push_back(Cols[I]);
-        Last = Cols[I];
-      }
-      NewOffsets[V + 1] = NewCols.size();
+      uint64_t RowBegin = Out;
+      for (uint64_t J = RowOffsets[V]; J < RowOffsets[V + 1]; ++J)
+        if (Out == RowBegin || Cols[J] != Cols[Out - 1])
+          Cols[Out++] = Cols[J];
+      RowOffsets[V] = RowBegin;
     }
-    return CsrGraph(std::move(NewOffsets), std::move(NewCols));
+    RowOffsets[NumVertices] = Out;
+    Cols.resize(Out);
   }
   return CsrGraph(std::move(RowOffsets), std::move(Cols));
 }

@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <vector>
 
 using namespace atmem;
 using namespace atmem::graph;
 
 CsrGraph graph::generateRmat(const RmatParams &Params) {
+  if (Params.Scale < 1 || Params.Scale > 31)
+    reportFatalError("R-MAT scale must lie in [1, 31], got " +
+                     std::to_string(Params.Scale));
   if (Params.A + Params.B + Params.C >= 1.0)
     reportFatalError("R-MAT quadrant probabilities must sum below 1");
   uint32_t NumVertices = 1u << Params.Scale;
@@ -20,24 +24,21 @@ CsrGraph graph::generateRmat(const RmatParams &Params) {
   Xoshiro256 Rng(Params.Seed);
   std::vector<Edge> Edges;
   Edges.reserve(NumEdges);
-  double AB = Params.A + Params.B;
-  double ABC = AB + Params.C;
+  const double A = Params.A;
+  const double AB = A + Params.B;
+  const double ABC = AB + Params.C;
   for (uint64_t E = 0; E < NumEdges; ++E) {
     uint32_t Src = 0, Dst = 0;
     for (uint32_t Bit = 0; Bit < Params.Scale; ++Bit) {
+      // Quadrants in order: [0, A) top-left, [A, AB) top-right,
+      // [AB, ABC) bottom-left, [ABC, 1) bottom-right. The same
+      // comparisons as a four-way branch, without branching on a random
+      // value.
       double R = Rng.nextDouble();
-      Src <<= 1;
-      Dst <<= 1;
-      if (R < Params.A) {
-        // Top-left quadrant: both bits zero.
-      } else if (R < AB) {
-        Dst |= 1;
-      } else if (R < ABC) {
-        Src |= 1;
-      } else {
-        Src |= 1;
-        Dst |= 1;
-      }
+      uint32_t SrcBit = R >= AB;
+      uint32_t DstBit = (R >= A) & ((R < AB) | (R >= ABC));
+      Src = (Src << 1) | SrcBit;
+      Dst = (Dst << 1) | DstBit;
     }
     Edges.emplace_back(Src, Dst);
   }
@@ -62,14 +63,42 @@ CsrGraph graph::generatePowerLaw(const PowerLawParams &Params) {
     Cumulative[V] = Sum;
   }
 
-  // Inverse-CDF sampling via binary search on the cumulative weights.
+  // Inverse-CDF sampling: a draw X (the 53 bits nextDouble() uses) maps
+  // to R(X) = X * 2^-53 * Sum, and its vertex is the first with
+  // Cumulative >= R(X). A guide table (Chen & Asau's cutpoints, keyed on
+  // the integer draw) holds that answer for the first draw of each of
+  // the 2^16 buckets of equal top bits. R does not decrease as X grows,
+  // so a draw in bucket K lands in [Guide[K], Guide[K + 1]]: every vertex
+  // before Guide[K] is below R(X), and when none in
+  // [Guide[K], Guide[K + 1]) reaches it, lower_bound returns
+  // Guide[K + 1], which is then the answer. That is the vertex the search
+  // over every vertex finds, from the same draw sequence.
+  constexpr unsigned GuideBits = 16;
+  constexpr unsigned BucketShift = 53 - GuideBits;
+  constexpr uint32_t NumBuckets = 1u << GuideBits;
+  auto DrawValue = [Sum](uint64_t X) {
+    return static_cast<double>(X) * 0x1.0p-53 * Sum;
+  };
+  std::vector<uint32_t> Guide(NumBuckets + 1);
+  uint32_t First = 0;
+  for (uint32_t K = 0; K < NumBuckets; ++K) {
+    double R = DrawValue(static_cast<uint64_t>(K) << BucketShift);
+    while (First < NumVertices && Cumulative[First] < R)
+      ++First;
+    Guide[K] = First;
+  }
+  Guide[NumBuckets] = NumVertices;
+
   Xoshiro256 Rng(Params.Seed);
   auto SampleVertex = [&]() -> uint32_t {
-    double R = Rng.nextDouble() * Sum;
-    auto It = std::lower_bound(Cumulative.begin(), Cumulative.end(), R);
-    if (It == Cumulative.end())
+    uint64_t X = Rng.next() >> 11;
+    uint64_t K = X >> BucketShift;
+    const double *It =
+        std::lower_bound(Cumulative.data() + Guide[K],
+                         Cumulative.data() + Guide[K + 1], DrawValue(X));
+    if (It == Cumulative.data() + NumVertices)
       return NumVertices - 1;
-    return static_cast<uint32_t>(It - Cumulative.begin());
+    return static_cast<uint32_t>(It - Cumulative.data());
   };
 
   std::vector<Edge> Edges;

@@ -31,7 +31,7 @@ namespace graph {
 
 /// R-MAT parameters (defaults are the Graph500 quadrant probabilities).
 struct RmatParams {
-  uint32_t Scale = 16;     ///< 2^Scale vertices.
+  uint32_t Scale = 16;     ///< 2^Scale vertices; must lie in [1, 31].
   double EdgeFactor = 16;  ///< Edges per vertex.
   double A = 0.57;
   double B = 0.19;
@@ -40,6 +40,7 @@ struct RmatParams {
 };
 
 /// Generates an R-MAT graph as CSR (self-loops removed, neighbors sorted).
+/// Aborts when Scale is outside [1, 31] or A + B + C >= 1.
 CsrGraph generateRmat(const RmatParams &Params);
 
 /// Chung-Lu power-law parameters.

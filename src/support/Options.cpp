@@ -3,6 +3,7 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
+#include <cstdint>
 #include <cstdio>
 
 using namespace atmem;
@@ -98,6 +99,14 @@ std::string OptionParser::getString(const std::string &Name) const {
 
 uint64_t OptionParser::getUnsigned(const std::string &Name) const {
   return parseUnsigned(getString(Name));
+}
+
+uint32_t OptionParser::getUnsigned32(const std::string &Name) const {
+  uint64_t Value = getUnsigned(Name);
+  if (Value > UINT32_MAX)
+    reportFatalError("option '--" + Name + "' value " + std::to_string(Value) +
+                     " exceeds " + std::to_string(UINT32_MAX));
+  return static_cast<uint32_t>(Value);
 }
 
 double OptionParser::getDouble(const std::string &Name) const {

@@ -49,6 +49,9 @@ public:
 
   std::string getString(const std::string &Name) const;
   uint64_t getUnsigned(const std::string &Name) const;
+  /// getUnsigned() for a value held in 32 bits: aborts with a fatal error
+  /// when it exceeds 2^32 - 1 instead of wrapping.
+  uint32_t getUnsigned32(const std::string &Name) const;
   double getDouble(const std::string &Name) const;
   bool getFlag(const std::string &Name) const;
 

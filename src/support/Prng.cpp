@@ -4,36 +4,10 @@
 
 using namespace atmem;
 
-uint64_t SplitMix64::next() {
-  uint64_t Z = (State += 0x9e3779b97f4a7c15ULL);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-static uint64_t rotl(uint64_t X, int K) { return (X << K) | (X >> (64 - K)); }
-
 Xoshiro256::Xoshiro256(uint64_t Seed) {
   SplitMix64 SM(Seed);
   for (uint64_t &Word : State)
     Word = SM.next();
-}
-
-uint64_t Xoshiro256::next() {
-  uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
-
-double Xoshiro256::nextDouble() {
-  // 53 high-quality bits mapped into [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 uint64_t Xoshiro256::nextBounded(uint64_t Bound) {

@@ -16,6 +16,7 @@
 #include "sim/CacheSim.h"
 #include "sim/Tlb.h"
 #include "support/Error.h"
+#include "support/Options.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
@@ -42,6 +43,22 @@ TEST(DeathTest, ParseUnsignedRejectsSignedAndOverflowingText) {
   EXPECT_DEATH(parseUnsigned("18446744073709551616"),
                "malformed unsigned integer");
   EXPECT_EQ(parseUnsigned("42"), 42u);
+}
+
+TEST(DeathTest, Unsigned32OptionRejectsValuesPastTwoToThe32) {
+  // The accessor behind every option stored in 32 bits (--iterations,
+  // --sim-threads, --jobs, --scale-log2, --vertices): a plain cast would
+  // turn 2^32 + 2 into 2.
+  OptionParser Parser("tool");
+  Parser.addUnsigned("iterations", 1, "iterations");
+  Parser.addUnsigned("sim-threads", 1, "threads");
+  const char *Argv[] = {"tool", "--iterations=4294967298",
+                        "--sim-threads", "4294967295"};
+  ASSERT_TRUE(Parser.parse(4, Argv));
+  EXPECT_DEATH(Parser.getUnsigned32("iterations"),
+               "option '--iterations' value 4294967298 exceeds 4294967295");
+  EXPECT_EQ(Parser.getUnsigned("iterations"), 4294967298u);
+  EXPECT_EQ(Parser.getUnsigned32("sim-threads"), 4294967295u);
 }
 
 TEST(DeathTest, TableRowWidthMismatchAborts) {

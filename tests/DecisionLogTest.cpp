@@ -15,6 +15,8 @@
 #include "obs/Json.h"
 #include "sim/Machine.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +26,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -38,10 +41,6 @@ protected:
   void TearDown() override {
     DecisionLog::instance().close();
     fault::FaultRegistry::instance().disarmAll();
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 

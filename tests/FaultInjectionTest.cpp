@@ -15,6 +15,8 @@
 #include "obs/Json.h"
 #include "sim/Machine.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -405,7 +407,7 @@ TEST_F(FaultTest, ThreadPoolPartialSpawnStillWorks) {
 }
 
 TEST_F(FaultTest, IoReadFaultSurfacesAsParseError) {
-  std::string Path = ::testing::TempDir() + "fault_io_read.json";
+  std::string Path = testutil::tempPath("fault_io_read.json");
   std::FILE *Out = std::fopen(Path.c_str(), "w");
   ASSERT_NE(Out, nullptr);
   std::fputs("{\"answer\": 42}", Out);

@@ -8,6 +8,8 @@
 #include "graph/EdgeListIO.h"
 #include "graph/Generators.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -191,7 +193,7 @@ TEST(DatasetTest, MinimumVertexFloor) {
 
 TEST(EdgeListIOTest, RoundTrip) {
   CsrGraph G = buildCsr(5, {{0, 1}, {1, 2}, {2, 3}, {4, 0}});
-  std::string Path = testing::TempDir() + "atmem_edges_test.txt";
+  std::string Path = atmem::testutil::tempPath("atmem_edges_test.txt");
   ASSERT_TRUE(writeEdgeList(G, Path));
   auto Loaded = readEdgeList(Path);
   ASSERT_TRUE(Loaded.has_value());
@@ -206,7 +208,7 @@ TEST(EdgeListIOTest, MissingFileFails) {
 }
 
 TEST(EdgeListIOTest, CommentsIgnored) {
-  std::string Path = testing::TempDir() + "atmem_edges_comments.txt";
+  std::string Path = atmem::testutil::tempPath("atmem_edges_comments.txt");
   std::FILE *File = std::fopen(Path.c_str(), "w");
   ASSERT_NE(File, nullptr);
   std::fputs("# header comment\n0 1\n\n1 2\n", File);
@@ -218,7 +220,7 @@ TEST(EdgeListIOTest, CommentsIgnored) {
 }
 
 TEST(EdgeListIOTest, MalformedLineFails) {
-  std::string Path = testing::TempDir() + "atmem_edges_bad.txt";
+  std::string Path = atmem::testutil::tempPath("atmem_edges_bad.txt");
   std::FILE *File = std::fopen(Path.c_str(), "w");
   ASSERT_NE(File, nullptr);
   std::fputs("0 1\nbogus line\n", File);

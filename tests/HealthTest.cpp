@@ -18,6 +18,8 @@
 #include "obs/TimeSeries.h"
 #include "sim/Machine.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,6 +33,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -51,10 +54,6 @@ protected:
     HealthLog::instance().close();
     DecisionLog::instance().close();
     setHealthDefaultEnabled(false);
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 

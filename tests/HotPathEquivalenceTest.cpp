@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceDrain.h"
+#include "TestTempDir.h"
 
 #include "core/Runtime.h"
 #include "mem/DataObjectRegistry.h"
@@ -58,7 +59,7 @@ std::vector<char> readFileBytes(const std::string &Path) {
 }
 
 std::string tmpTracePath(const char *Tag) {
-  return ::testing::TempDir() + "hotpath_" + Tag + ".mtrace";
+  return testutil::tempPath("hotpath_" + std::string(Tag) + ".mtrace");
 }
 
 /// A synthetic miss stream over two objects plus deliberate strays into

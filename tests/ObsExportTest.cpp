@@ -21,6 +21,8 @@
 #include "obs/Json.h"
 #include "obs/Trace.h"
 
+#include "TestTempDir.h"
+
 #include "gtest/gtest.h"
 
 #include <set>
@@ -311,10 +313,9 @@ TEST_F(ObsExportTest, ExportIfConfiguredWritesBothArtifacts) {
   obs::Counter("export.counter").add(1);
   { obs::SpanScope Span("export.span", "test"); }
 
-  std::string Dir = ::testing::TempDir();
   obs::TelemetryConfig Config;
-  Config.MetricsPath = Dir + "/obs_export_metrics.json";
-  Config.TracePath = Dir + "/obs_export_trace.json";
+  Config.MetricsPath = testutil::tempPath("obs_export_metrics.json");
+  Config.TracePath = testutil::tempPath("obs_export_trace.json");
   ASSERT_TRUE(obs::exportIfConfigured(Config));
 
   obs::JsonValue Doc;

@@ -11,6 +11,8 @@
 #include "obs/RingLog.h"
 #include "profiler/TraceFile.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -34,10 +37,6 @@ protected:
   void TearDown() override {
     DecisionLog::instance().close();
     fault::FaultRegistry::instance().disarmAll();
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 

@@ -16,6 +16,8 @@
 #include "obs/Telemetry.h"
 #include "support/Prng.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,12 +28,9 @@
 
 using namespace atmem;
 using namespace atmem::analyzer;
+using testutil::tempPath;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + Name;
-}
 
 void writeFile(const std::string &Path, const std::string &Text) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);

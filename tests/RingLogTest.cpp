@@ -12,6 +12,8 @@
 #include "obs/DecisionLog.h"
 #include "obs/RingLog.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -43,10 +46,6 @@ protected:
   void TearDown() override {
     DecisionLog::instance().close();
     fault::FaultRegistry::instance().disarmAll();
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 
@@ -419,8 +418,21 @@ TEST_F(RingLogTest, SalvageExportsToAFlatTrailerCompleteFile) {
 // The headline guarantee: SIGKILL loses at most the in-flight epoch
 //===----------------------------------------------------------------------===//
 
-TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
-  std::string Base = tempPath("ring_crash.atdr");
+/// Removes the ring rooted at \p Base: the base file and every segment.
+void removeRing(const std::string &Base) {
+  for (const std::string &Segment : ringSegmentFiles(Base))
+    ::unlink(Segment.c_str());
+  ::unlink(Base.c_str());
+}
+
+/// Starts a long atmem_run writing its decision ring at \p Base, SIGKILLs
+/// it once three complete epochs are salvageable, and checks that the
+/// salvage holds at least those epochs and passes full validation, by
+/// the reader and by the shipped checker. Any ring already at \p Base is
+/// removed first: the poll must only ever see the child's epochs.
+void killRunAndSalvage(const std::string &Base, DecisionArtifact &Artifact) {
+  removeRing(Base);
+  ASSERT_TRUE(ringSegmentFiles(Base).empty());
 
   pid_t Child = ::fork();
   ASSERT_GE(Child, 0);
@@ -454,11 +466,15 @@ TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
       break;
     }
     int Status = 0;
-    ASSERT_EQ(::waitpid(Child, &Status, WNOHANG), 0)
-        << "atmem_run exited early with status " << Status;
+    if (::waitpid(Child, &Status, WNOHANG) != 0)
+      FAIL() << "atmem_run exited early with status " << Status;
     ::usleep(50 * 1000);
   }
-  ASSERT_GE(SeenEpochs, 3u) << "no epochs appeared within 30s";
+  if (SeenEpochs < 3) {
+    ::kill(Child, SIGKILL);
+    ::waitpid(Child, nullptr, 0);
+    FAIL() << "no epochs appeared within 30s";
+  }
 
   ASSERT_EQ(::kill(Child, SIGKILL), 0);
   int Status = 0;
@@ -468,7 +484,6 @@ TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
 
   // Everything complete at observation time survived the kill, nothing
   // torn leaked through, and the salvage passes full validation.
-  DecisionArtifact Artifact;
   RingRecoveryStats Stats;
   ASSERT_TRUE(readRingLog(Base, Artifact, &Error, &Stats)) << Error;
   EXPECT_FALSE(Stats.CleanClose);
@@ -481,6 +496,37 @@ TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
   int CheckStatus = std::system(Command.c_str());
   ASSERT_TRUE(WIFEXITED(CheckStatus));
   EXPECT_EQ(WEXITSTATUS(CheckStatus), 0);
+}
+
+TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
+  DecisionArtifact Artifact;
+  ASSERT_NO_FATAL_FAILURE(
+      killRunAndSalvage(tempPath("ring_crash.atdr"), Artifact));
+}
+
+TEST_F(RingLogTest, SigkilledRunIgnoresStaleRingAtSamePath) {
+  // A finished ring from an earlier run at the same path, with more
+  // complete epochs than the crash test waits for. Polling it would kill
+  // the child before it wrote anything of its own.
+  std::string Base = tempPath("ring_crash_stale.atdr");
+  std::string Error;
+  ASSERT_TRUE(openDecisionLogRing(Base, RingLogOptions(), &Error)) << Error;
+  for (int Epoch = 0; Epoch < 8; ++Epoch)
+    emitEpoch("stale_object");
+  ASSERT_TRUE(DecisionLog::instance().close(&Error)) << Error;
+  DecisionArtifact Stale;
+  RingRecoveryStats StaleStats;
+  ASSERT_TRUE(readRingLog(Base, Stale, &Error, &StaleStats)) << Error;
+  ASSERT_EQ(StaleStats.SalvagedEpochs, 8u);
+
+  DecisionArtifact Artifact;
+  ASSERT_NO_FATAL_FAILURE(killRunAndSalvage(Base, Artifact));
+  for (const auto &[Id, Name] : Artifact.Names)
+    EXPECT_NE(Name, "stale_object") << "salvaged the stale ring";
+  bool FoundObject = false;
+  for (const DecisionRecord &Rec : Artifact.Records)
+    FoundObject |= Rec.Kind == DecisionKind::ObjectEpoch;
+  EXPECT_TRUE(FoundObject);
 }
 
 } // namespace

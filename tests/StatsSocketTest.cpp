@@ -13,6 +13,8 @@
 #include "obs/TimeSeries.h"
 #include "sim/Machine.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +24,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -36,10 +39,6 @@ protected:
     DecisionLog::instance().close();
     TimeSeries::instance().setEnabled(false);
     TimeSeries::instance().clear();
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 

@@ -13,6 +13,8 @@
 #include "obs/TimeSeries.h"
 #include "sim/Machine.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +26,7 @@
 
 using namespace atmem;
 using namespace atmem::obs;
+using testutil::tempPath;
 
 namespace {
 
@@ -38,10 +41,6 @@ protected:
   void TearDown() override {
     TimeSeries::instance().setEnabled(false);
     TimeSeries::instance().clear();
-  }
-
-  static std::string tempPath(const char *Name) {
-    return ::testing::TempDir() + Name;
   }
 };
 

@@ -12,17 +12,16 @@
 #include "profiler/OfflineProfiler.h"
 #include "profiler/TraceFile.h"
 
+#include "TestTempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 using namespace atmem;
+using testutil::tempPath;
 
 namespace {
-
-std::string tempPath(const char *Name) {
-  return testing::TempDir() + Name;
-}
 
 //===----------------------------------------------------------------------===//
 // TraceFile

@@ -23,6 +23,7 @@
 #include "obs/RingLog.h"
 #include "support/StringUtils.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -114,7 +115,7 @@ int main(int Argc, const char **Argv) {
         continue;
       if (keyValue(Arg, "chunk", Value)) {
         uint64_t N;
-        if (!tryParseUnsigned(Value, N)) {
+        if (!tryParseUnsigned(Value, N) || N > UINT32_MAX) {
           std::fprintf(stderr, "error: bad chunk '%s'\n", Value.c_str());
           return 2;
         }
@@ -156,7 +157,7 @@ int main(int Argc, const char **Argv) {
       if (keyValue(Arg, "obj", Object))
         continue;
       if (keyValue(Arg, "cols", Value) && tryParseUnsigned(Value, Cols) &&
-          Cols > 0)
+          Cols > 0 && Cols <= UINT32_MAX)
         continue;
       std::fprintf(stderr, "error: unknown --heatmap argument '%s'\n", Arg);
       return 2;

@@ -29,6 +29,7 @@
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace atmem;
@@ -226,11 +227,9 @@ int main(int Argc, const char **Argv) {
     Config.Graph = &Graph;
     Config.Machine = Machine;
     Config.PolicyKind = P;
-    Config.MeasuredIterations =
-        static_cast<uint32_t>(Parser.getUnsigned("iterations"));
+    Config.MeasuredIterations = Parser.getUnsigned32("iterations");
     Config.MeasureTlb = Parser.getFlag("tlb");
-    Config.SimThreads = static_cast<uint32_t>(
-        std::max<uint64_t>(Parser.getUnsigned("sim-threads"), 1));
+    Config.SimThreads = std::max(Parser.getUnsigned32("sim-threads"), 1u);
     Config.OptimizeEachIteration = Parser.getFlag("reoptimize");
     Config.Telemetry = Telemetry;
     Config.RankerModelPath = Parser.getString("ranker-model");
