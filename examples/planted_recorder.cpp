@@ -7,7 +7,7 @@
 ///
 /// \file
 /// planted_recorder: deterministic multi-epoch planted-hot-set workload
-/// that records a decision log for the learned-ranker pipeline.
+/// that records a decision log for the replay drift check.
 ///
 /// Every epoch drives the same 1 MiB array through the full profiled
 /// pipeline with a *known* traffic split:
@@ -16,20 +16,16 @@
 ///     hot in every epoch — the pattern a placement should keep resident;
 ///   * transient scattered spikes (an eighth of the chunks, re-drawn from
 ///     a seeded PRNG each epoch) that are individually hotter per chunk
-///     than the stable block but never recur — bait the Eq. 1-5 snapshot
-///     heuristic takes every time;
+///     than the stable block but never recur;
 ///   * a uniform background over the rest.
 ///
-/// Under a budget that fits the stable block but not block + spikes, a
-/// policy that learns "contiguous and recurring beats hot-right-now"
-/// out-places the heuristic on the next epoch — which is exactly the
-/// signal atmem_train fits and tools/atmem_replay measures. The recorded
-/// atdl log is byte-deterministic for a given (seed, epochs), making it
-/// suitable as a committed golden artifact:
+/// Under a budget that fits the stable block but not block + spikes, the
+/// selection order decides the next-epoch hit fraction tools/atmem_replay
+/// reports. The recorded atdl log is byte-deterministic for a given
+/// (seed, epochs), making it suitable as a committed golden artifact:
 ///
 ///   planted_recorder --out tests/golden/planted_hotset.atdl
-///   atmem_train tests/golden/planted_hotset.atdl --out ranker.json \
-///     --budget $((18 * 16384))
+///   atmem_replay tests/golden/planted_hotset.atdl --budget $((66 * 4096))
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +76,7 @@ int main(int Argc, const char **Argv) {
               "[%u, %u), %u transient spikes/epoch\n",
               Chunks, static_cast<unsigned long long>(Obj.chunkBytes()),
               StableStart, StableStart + StableChunks, SpikeChunks);
-  std::printf("planted_recorder: suggested A/B plan budget: %llu bytes "
+  std::printf("planted_recorder: suggested replay plan budget: %llu bytes "
               "(stable block + 2 chunks)\n",
               static_cast<unsigned long long>(
                   (StableChunks + 2) * Obj.chunkBytes()));

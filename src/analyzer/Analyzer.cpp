@@ -38,14 +38,33 @@ void publishObjectMetrics(const std::string &ObjName,
   obs::Gauge(Base + "chunks_estimated_critical").set(Promo.PromotedCount);
 }
 
+/// The decision log's global weight ranks for one epoch: 1-based,
+/// descending Eq. 4 weight among the objects that carry any critical chunk
+/// (W > 0), ties ranked by object order; 0 for unranked objects.
+/// \p RankedObjects receives the number of ranked objects.
+std::vector<uint32_t>
+globalWeightRanks(const std::vector<PromotionResult> &Promotions,
+                  uint32_t &RankedObjects) {
+  std::vector<size_t> Order;
+  for (size_t I = 0; I < Promotions.size(); ++I)
+    if (Promotions[I].Weight > 0.0)
+      Order.push_back(I);
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Promotions[A].Weight > Promotions[B].Weight;
+  });
+  std::vector<uint32_t> Rank(Promotions.size(), 0);
+  for (size_t R = 0; R < Order.size(); ++R)
+    Rank[Order[R]] = static_cast<uint32_t>(R + 1);
+  RankedObjects = static_cast<uint32_t>(Order.size());
+  return Rank;
+}
+
 /// Emits one epoch's worth of decision-log records for every object: the
 /// ObjectEpoch verdict (Eq. 2 components and winner, Eq. 4 weight and its
 /// global rank, the Eq. 5 TR' as used) followed by one ChunkDecision per
 /// informative chunk (sampled, critical, or promoted — cold chunks are
 /// implied by their absence). \p GlobalFlipped marks the chunks the pooled
-/// ranking stage flipped critical. When a learned ranker ran, the flags
-/// written here are its final verdicts — the log records what the
-/// pipeline decided, whichever policy decided it.
+/// ranking stage flipped critical.
 void recordDecisions(const std::vector<ObjectProfileInput> &Inputs,
                      const std::vector<LocalSelection> &Selections,
                      const std::vector<PromotionResult> &Promotions,
@@ -53,10 +72,8 @@ void recordDecisions(const std::vector<ObjectProfileInput> &Inputs,
                      uint64_t SamplePeriod) {
   obs::DecisionLog &Log = obs::DecisionLog::instance();
 
-  // Global weight ranks: 1-based, descending weight among the objects
-  // that carry any critical chunk (W > 0); ties rank by object order.
   uint32_t RankedObjects = 0;
-  std::vector<uint32_t> Rank = rankerWeightRanks(Promotions, &RankedObjects);
+  std::vector<uint32_t> Rank = globalWeightRanks(Promotions, RankedObjects);
 
   for (size_t I = 0; I < Inputs.size(); ++I) {
     const ObjectProfileInput &In = Inputs[I];
@@ -149,7 +166,6 @@ Analyzer::classifyInputs(const std::vector<ObjectProfileInput> &Inputs,
   // The flight recorder needs evidence classify() otherwise discards:
   // which chunks the global ranking flipped.
   const bool DecisionLogOn = obs::DecisionLog::enabled();
-  const bool RankerActive = Config.Ranker != nullptr;
   std::vector<std::vector<uint8_t>> GlobalFlipped;
 
   std::vector<LocalSelection> Selections;
@@ -200,38 +216,15 @@ Analyzer::classifyInputs(const std::vector<ObjectProfileInput> &Inputs,
   GlobalPromoter Promoter(PromoterCfg);
   std::vector<PromotionResult> Promotions;
   if (Config.EnablePromotion) {
-    // Node tracing feeds both the flight recorder and the ranker's
-    // node_tree_ratio feature; promotion decisions are identical with it
-    // on or off.
-    Promotions = Promoter.promoteAll(Selections, DecisionLogOn || RankerActive);
+    // Node tracing feeds the flight recorder; promotion decisions are
+    // identical with it on or off.
+    Promotions = Promoter.promoteAll(Selections, DecisionLogOn);
   } else {
     Promotions.resize(Selections.size());
     for (size_t I = 0; I < Selections.size(); ++I) {
       Promotions[I].Promoted.assign(Selections[I].Critical.size(), 0);
       Promotions[I].Weight = GlobalPromoter::objectWeight(Selections[I]);
     }
-  }
-
-  // Learned-ranker re-scoring: every heuristic verdict above is input to
-  // the model, and the model's decisions land back in the same flags, so
-  // planning, migration, telemetry and the flight recorder all see one
-  // consistent selection. Never entered without a configured model — the
-  // heuristic path stays bit-identical.
-  if (RankerActive) {
-    std::vector<std::vector<uint64_t>> SampleVecs;
-    std::vector<std::vector<double>> MissVecs;
-    std::vector<uint64_t> ChunkBytesVec;
-    SampleVecs.reserve(Inputs.size());
-    MissVecs.reserve(Inputs.size());
-    ChunkBytesVec.reserve(Inputs.size());
-    for (const ObjectProfileInput &In : Inputs) {
-      SampleVecs.push_back(In.Samples);
-      MissVecs.push_back(In.EstimatedMisses);
-      ChunkBytesVec.push_back(In.ChunkBytes);
-    }
-    RankerPolicy Policy(*Config.Ranker);
-    Policy.apply(Selections, Promotions, SampleVecs, MissVecs, ChunkBytesVec,
-                 DecisionLogOn ? &GlobalFlipped : nullptr);
   }
 
   if (DecisionLogOn)

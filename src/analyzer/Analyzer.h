@@ -18,12 +18,11 @@
 #include "analyzer/GlobalPromoter.h"
 #include "analyzer/LocalSelector.h"
 #include "analyzer/PlacementPlan.h"
-#include "analyzer/RankerPolicy.h"
 #include "mem/DataObjectRegistry.h"
 #include "profiler/ProfileSource.h"
 
-#include <memory>
 #include <string>
+#include <vector>
 
 namespace atmem {
 namespace analyzer {
@@ -40,7 +39,7 @@ struct ObjectProfileInput {
   uint64_t MappedBytes = 0;
   /// The profiler's per-chunk unbiased miss estimates (Eq. 1 numerator).
   std::vector<double> EstimatedMisses;
-  /// Raw per-chunk sample hits (flight-recorder evidence + ranker input).
+  /// Raw per-chunk sample hits (flight-recorder evidence).
   std::vector<uint64_t> Samples;
 };
 
@@ -64,15 +63,6 @@ struct AnalyzerConfig {
   /// data placed); negative values loosen all three (more data placed).
   /// Zero is ATMem's autonomous operating point.
   double SelectivityBias = 0.0;
-  /// Path to an atmem-ranker-v1 JSON model file. Loaded once by the
-  /// Runtime constructor (or a tool) into Ranker below; a load failure
-  /// bumps "ranker.model_load_failed" and leaves the heuristic active.
-  /// Empty (the default) keeps the Eq. 1-5 path bit-identical.
-  std::string RankerModelPath;
-  /// The active learned model. When set, every heuristic verdict is
-  /// re-scored by RankerPolicy after the Eq. 1-5 pipeline runs; when
-  /// null, the apply step is never entered.
-  std::shared_ptr<const RankerModel> Ranker;
 };
 
 /// Runs the two analyzer stages over the profiler's results.
@@ -89,12 +79,11 @@ public:
            const prof::ProfileSource &Profiler) const;
 
   /// The registry-independent pipeline behind classify(): local selection
-  /// (Eq. 1-3), pooled global ranking, tree promotion (Eq. 4-5), the
-  /// optional learned-ranker re-scoring, and flight-recorder emission,
-  /// over plain per-object inputs. classify() delegates here; the replay
-  /// harness calls it directly on inputs reconstructed from a decision
-  /// log. \p SamplePeriod is the profiler's final sampling period (Eq. 2
-  /// noise floor).
+  /// (Eq. 1-3), pooled global ranking, tree promotion (Eq. 4-5), and
+  /// flight-recorder emission, over plain per-object inputs. classify()
+  /// delegates here; the replay harness calls it directly on inputs
+  /// reconstructed from a decision log. \p SamplePeriod is the profiler's
+  /// final sampling period (Eq. 2 noise floor).
   std::vector<ObjectClassification>
   classifyInputs(const std::vector<ObjectProfileInput> &Inputs,
                  uint64_t SamplePeriod) const;

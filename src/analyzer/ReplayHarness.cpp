@@ -1,7 +1,6 @@
 #include "analyzer/ReplayHarness.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
@@ -44,14 +43,7 @@ bool atmem::analyzer::replayEpochsFromArtifact(
       In.EstimatedMisses.assign(Obj.NumChunks, 0.0);
       In.Samples.assign(Obj.NumChunks, 0);
       Current->Inputs.push_back(std::move(In));
-      ReplayRecordedObject Recorded;
-      Recorded.Meta = Obj;
-      Recorded.SampledCritical.assign(Obj.NumChunks, 0);
-      Recorded.GlobalRanked.assign(Obj.NumChunks, 0);
-      Recorded.Promoted.assign(Obj.NumChunks, 0);
-      Recorded.Priority.assign(Obj.NumChunks, 0.0);
-      Recorded.NodeTreeRatio.assign(Obj.NumChunks, 0.0);
-      Current->Recorded.push_back(std::move(Recorded));
+      Current->RecordedSelected.emplace_back(Obj.NumChunks, 0);
       break;
     }
     case obs::DecisionKind::ChunkDecision: {
@@ -65,21 +57,16 @@ bool atmem::analyzer::replayEpochsFromArtifact(
                     " before its ObjectEpoch (epoch " +
                     std::to_string(Current->Epoch) + ")");
       ObjectProfileInput &In = Current->Inputs[It->second];
-      ReplayRecordedObject &Recorded = Current->Recorded[It->second];
       if (Chunk.Chunk >= In.Samples.size())
         return fail("chunk " + std::to_string(Chunk.Chunk) +
                     " past object " + In.Name + "'s grid of " +
                     std::to_string(In.Samples.size()));
       In.Samples[Chunk.Chunk] = Chunk.Samples;
       In.EstimatedMisses[Chunk.Chunk] = Chunk.EstimatedMisses;
-      Recorded.Priority[Chunk.Chunk] = Chunk.Priority;
-      Recorded.NodeTreeRatio[Chunk.Chunk] = Chunk.NodeTreeRatio;
-      if (Chunk.Flags & obs::DecisionChunkSampledCritical)
-        Recorded.SampledCritical[Chunk.Chunk] = 1;
-      if (Chunk.Flags & obs::DecisionChunkGlobalRanked)
-        Recorded.GlobalRanked[Chunk.Chunk] = 1;
-      if (Chunk.Flags & obs::DecisionChunkPromoted)
-        Recorded.Promoted[Chunk.Chunk] = 1;
+      if (Chunk.Flags & (obs::DecisionChunkSampledCritical |
+                         obs::DecisionChunkGlobalRanked |
+                         obs::DecisionChunkPromoted))
+        Current->RecordedSelected[It->second][Chunk.Chunk] = 1;
       break;
     }
     default:
@@ -153,154 +140,79 @@ uint64_t churnBetween(const PlacedMap &Prev, const PlacedMap &Now) {
   return Churn;
 }
 
-/// One policy's rolling state across the replayed epochs.
-struct PolicyRun {
-  Analyzer Anal;
-  ReplayPolicyMetrics Metrics;
-  PlacedMap PrevPlaced;
-  double SamePlaced = 0.0, SameTotal = 0.0;
-  double NextPlaced = 0.0, NextTotal = 0.0;
-  bool HasPrev = false;
-
-  explicit PolicyRun(AnalyzerConfig Config) : Anal(std::move(Config)) {}
-};
-
 } // namespace
 
-ReplayReport atmem::analyzer::replayCompare(
-    const std::vector<ReplayEpoch> &Epochs, const AnalyzerConfig &BaseConfig,
-    std::shared_ptr<const RankerModel> Model, uint64_t BudgetBytes) {
+ReplayReport
+atmem::analyzer::replayHeuristic(const std::vector<ReplayEpoch> &Epochs,
+                                 const AnalyzerConfig &Config,
+                                 uint64_t BudgetBytes) {
   ReplayReport Report;
   Report.Epochs = Epochs.size();
   Report.BudgetBytes = BudgetBytes;
-  Report.RankerActive = Model != nullptr;
 
-  AnalyzerConfig HeuristicConfig = BaseConfig;
-  HeuristicConfig.Ranker = nullptr;
-  HeuristicConfig.RankerModelPath.clear();
-  PolicyRun A(HeuristicConfig);
-  AnalyzerConfig RankerConfig = HeuristicConfig;
-  RankerConfig.Ranker = Model;
-  PolicyRun B(RankerConfig);
-
-  uint64_t AgreeIntersection = 0;
-  uint64_t AgreeUnion = 0;
+  Analyzer Anal(Config);
+  ReplayMetrics &Metrics = Report.Heuristic;
+  PlacedMap PrevPlaced;
+  double SamePlaced = 0.0, SameTotal = 0.0;
+  double NextPlaced = 0.0, NextTotal = 0.0;
 
   for (size_t E = 0; E < Epochs.size(); ++E) {
     const ReplayEpoch &Epoch = Epochs[E];
-    const ReplayEpoch *Next = E + 1 < Epochs.size() ? &Epochs[E + 1] : nullptr;
+    std::vector<ObjectClassification> Classes =
+        Anal.classifyInputs(Epoch.Inputs, Epoch.SamplePeriod);
 
-    PolicyRun *Runs[2] = {&A, Report.RankerActive ? &B : nullptr};
-    PlacedMap PlacedByPolicy[2];
-    for (int P = 0; P < 2; ++P) {
-      PolicyRun *Run = Runs[P];
-      if (!Run)
-        continue;
-      std::vector<ObjectClassification> Classes =
-          Run->Anal.classifyInputs(Epoch.Inputs, Epoch.SamplePeriod);
-
-      if (P == 0) {
-        // Drift: the replayed heuristic must reproduce the recorded
-        // selection chunk for chunk.
-        for (size_t I = 0; I < Classes.size(); ++I) {
-          const ReplayRecordedObject &Recorded = Epoch.Recorded[I];
-          for (uint32_t C = 0; C < Classes[I].numChunks(); ++C) {
-            bool Was = Recorded.selected(C);
-            bool Now = Classes[I].isSelected(C);
-            if (Was == Now)
-              continue;
-            ++Report.Drift.Mismatches;
-            if (Report.Drift.First.empty()) {
-              char Buf[160];
-              std::snprintf(Buf, sizeof(Buf),
-                            "epoch %llu obj %s chunk %u: recorded %s, "
-                            "replayed %s",
-                            static_cast<unsigned long long>(Epoch.Epoch),
-                            Epoch.Inputs[I].Name.c_str(), C,
-                            Was ? "selected" : "unselected",
-                            Now ? "selected" : "unselected");
-              Report.Drift.First = Buf;
-            }
-          }
-        }
-      }
-
-      PlacementPlan Plan = BudgetBytes > 0
-                               ? PlanBuilder::build(Classes, BudgetBytes)
-                               : PlanBuilder::build(Classes);
-      PlacedMap Placed = placedFromPlan(Plan, Classes);
-      Run->Metrics.PlanBytes += Plan.TotalBytes;
-      for (const auto &[Object, Flags] : Placed)
-        for (uint8_t F : Flags)
-          if (F)
-            ++Run->Metrics.PlacedChunks;
-      scoreHitFraction(Placed, Epoch, Run->SamePlaced, Run->SameTotal);
-      if (Next)
-        scoreHitFraction(Placed, *Next, Run->NextPlaced, Run->NextTotal);
-      if (Run->HasPrev)
-        Run->Metrics.ChurnChunks += churnBetween(Run->PrevPlaced, Placed);
-      Run->PrevPlaced = std::move(Placed);
-      Run->HasPrev = true;
-      PlacedByPolicy[P] = Run->PrevPlaced;
-    }
-
-    if (Report.RankerActive) {
-      for (const auto &[Object, FlagsA] : PlacedByPolicy[0]) {
-        auto It = PlacedByPolicy[1].find(Object);
-        for (size_t C = 0; C < FlagsA.size(); ++C) {
-          uint8_t InA = FlagsA[C];
-          uint8_t InB =
-              It != PlacedByPolicy[1].end() && C < It->second.size()
-                  ? It->second[C]
-                  : 0;
-          AgreeIntersection += InA && InB;
-          AgreeUnion += InA || InB;
+    // Drift: the replayed heuristic must reproduce the recorded selection
+    // chunk for chunk.
+    for (size_t I = 0; I < Classes.size(); ++I) {
+      const std::vector<uint8_t> &Recorded = Epoch.RecordedSelected[I];
+      for (uint32_t C = 0; C < Classes[I].numChunks(); ++C) {
+        bool Was = Recorded[C] != 0;
+        bool Now = Classes[I].isSelected(C);
+        if (Was == Now)
+          continue;
+        ++Report.Drift.Mismatches;
+        if (Report.Drift.First.empty()) {
+          char Buf[160];
+          std::snprintf(Buf, sizeof(Buf),
+                        "epoch %llu obj %s chunk %u: recorded %s, "
+                        "replayed %s",
+                        static_cast<unsigned long long>(Epoch.Epoch),
+                        Epoch.Inputs[I].Name.c_str(), C,
+                        Was ? "selected" : "unselected",
+                        Now ? "selected" : "unselected");
+          Report.Drift.First = Buf;
         }
       }
     }
+
+    PlacementPlan Plan = BudgetBytes > 0
+                             ? PlanBuilder::build(Classes, BudgetBytes)
+                             : PlanBuilder::build(Classes);
+    PlacedMap Placed = placedFromPlan(Plan, Classes);
+    Metrics.PlanBytes += Plan.TotalBytes;
+    for (const auto &[Object, Flags] : Placed)
+      for (uint8_t F : Flags)
+        if (F)
+          ++Metrics.PlacedChunks;
+    scoreHitFraction(Placed, Epoch, SamePlaced, SameTotal);
+    if (E + 1 < Epochs.size())
+      scoreHitFraction(Placed, Epochs[E + 1], NextPlaced, NextTotal);
+    if (E > 0)
+      Metrics.ChurnChunks += churnBetween(PrevPlaced, Placed);
+    PrevPlaced = std::move(Placed);
   }
 
-  auto finish = [](PolicyRun &Run) {
-    Run.Metrics.HitFractionSame =
-        Run.SameTotal > 0.0 ? Run.SamePlaced / Run.SameTotal : 1.0;
-    Run.Metrics.HitFractionNext =
-        Run.NextTotal > 0.0 ? Run.NextPlaced / Run.NextTotal : 1.0;
-  };
-  finish(A);
-  Report.Heuristic = A.Metrics;
-  if (Report.RankerActive) {
-    finish(B);
-    Report.Ranker = B.Metrics;
-    Report.PlanAgreement =
-        AgreeUnion > 0
-            ? static_cast<double>(AgreeIntersection) /
-                  static_cast<double>(AgreeUnion)
-            : 1.0;
-  }
+  Metrics.HitFractionSame = SameTotal > 0.0 ? SamePlaced / SameTotal : 1.0;
+  Metrics.HitFractionNext = NextTotal > 0.0 ? NextPlaced / NextTotal : 1.0;
   return Report;
-}
-
-static void appendPolicyLine(std::string &Out, const char *Name,
-                             const ReplayPolicyMetrics &M) {
-  char Buf[192];
-  std::snprintf(Buf, sizeof(Buf),
-                "%-10s %9.6f %9.6f %14llu %12llu %13llu\n", Name,
-                M.HitFractionNext, M.HitFractionSame,
-                static_cast<unsigned long long>(M.PlacedChunks),
-                static_cast<unsigned long long>(M.PlanBytes),
-                static_cast<unsigned long long>(M.ChurnChunks));
-  Out += Buf;
 }
 
 std::string atmem::analyzer::replayReportText(const ReplayReport &Report) {
   std::string Out;
   char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "replay: %llu epoch(s), budget %llu bytes, policies: "
-                "heuristic%s\n",
+  std::snprintf(Buf, sizeof(Buf), "replay: %llu epoch(s), budget %llu bytes\n",
                 static_cast<unsigned long long>(Report.Epochs),
-                static_cast<unsigned long long>(Report.BudgetBytes),
-                Report.RankerActive ? " + ranker" : " only");
+                static_cast<unsigned long long>(Report.BudgetBytes));
   Out += Buf;
   std::snprintf(Buf, sizeof(Buf),
                 "drift (replayed heuristic vs recorded): %llu chunk(s)%s%s\n",
@@ -310,171 +222,34 @@ std::string atmem::analyzer::replayReportText(const ReplayReport &Report) {
   Out += Buf;
   Out += "policy      hit_next  hit_same  placed_chunks   plan_bytes  "
          "churn_chunks\n";
-  appendPolicyLine(Out, "heuristic", Report.Heuristic);
-  if (Report.RankerActive) {
-    appendPolicyLine(Out, "ranker", Report.Ranker);
-    std::snprintf(Buf, sizeof(Buf), "plan agreement (jaccard): %.6f\n",
-                  Report.PlanAgreement);
-    Out += Buf;
-  }
-  return Out;
-}
-
-static void appendPolicyJson(std::string &Out, const char *Name,
-                             const ReplayPolicyMetrics &M) {
-  char Buf[256];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "  \"%s\": {\"hit_fraction_next\": %.17g, \"hit_fraction_same\": "
-      "%.17g, \"placed_chunks\": %llu, \"plan_bytes\": %llu, "
-      "\"churn_chunks\": %llu}",
-      Name, M.HitFractionNext, M.HitFractionSame,
-      static_cast<unsigned long long>(M.PlacedChunks),
-      static_cast<unsigned long long>(M.PlanBytes),
-      static_cast<unsigned long long>(M.ChurnChunks));
+  const ReplayMetrics &M = Report.Heuristic;
+  std::snprintf(Buf, sizeof(Buf),
+                "%-10s %9.6f %9.6f %14llu %12llu %13llu\n", "heuristic",
+                M.HitFractionNext, M.HitFractionSame,
+                static_cast<unsigned long long>(M.PlacedChunks),
+                static_cast<unsigned long long>(M.PlanBytes),
+                static_cast<unsigned long long>(M.ChurnChunks));
   Out += Buf;
+  return Out;
 }
 
 std::string atmem::analyzer::replayReportJson(const ReplayReport &Report) {
-  std::string Out = "{\n  \"format\": \"atmem-replay-v1\",\n";
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "  \"epochs\": %llu,\n  \"budget_bytes\": %llu,\n"
-                "  \"ranker_active\": %s,\n  \"drift_chunks\": %llu,\n",
-                static_cast<unsigned long long>(Report.Epochs),
-                static_cast<unsigned long long>(Report.BudgetBytes),
-                Report.RankerActive ? "true" : "false",
-                static_cast<unsigned long long>(Report.Drift.Mismatches));
-  Out += Buf;
-  appendPolicyJson(Out, "heuristic", Report.Heuristic);
-  Out += ",\n";
-  appendPolicyJson(Out, "ranker", Report.Ranker);
-  std::snprintf(Buf, sizeof(Buf), ",\n  \"plan_agreement\": %.17g\n}\n",
-                Report.PlanAgreement);
-  Out += Buf;
-  return Out;
-}
-
-RankerTrainingSet
-atmem::analyzer::rankerTrainingSet(const std::vector<ReplayEpoch> &Epochs) {
-  RankerTrainingSet Set;
-  for (size_t E = 0; E + 1 < Epochs.size(); ++E) {
-    const ReplayEpoch &Epoch = Epochs[E];
-    const ReplayEpoch &Next = Epochs[E + 1];
-    std::unordered_map<uint32_t, size_t> NextIndex;
-    for (size_t I = 0; I < Next.Inputs.size(); ++I)
-      NextIndex[Next.Inputs[I].Object] = I;
-    for (size_t I = 0; I < Epoch.Inputs.size(); ++I) {
-      const ObjectProfileInput &In = Epoch.Inputs[I];
-      const ReplayRecordedObject &Recorded = Epoch.Recorded[I];
-      RankerObjectContext Obj;
-      Obj.ChunkBytes = Recorded.Meta.ChunkBytes;
-      Obj.Theta = Recorded.Meta.Theta;
-      Obj.Weight = Recorded.Meta.Weight;
-      Obj.WeightRank = Recorded.Meta.WeightRank;
-      Obj.RankedObjects = Recorded.Meta.RankedObjects;
-      for (uint64_t S : In.Samples)
-        Obj.TotalSamples += S;
-      auto NextIt = NextIndex.find(In.Object);
-      for (size_t C = 0; C < In.Samples.size(); ++C) {
-        bool Critical = Recorded.SampledCritical[C] || Recorded.GlobalRanked[C];
-        bool Promoted = Recorded.Promoted[C] != 0;
-        // Only recorded (warm) chunks carry evidence; the cold sea has
-        // all-zero features and would just dilute the fit with its
-        // overwhelmingly negative labels.
-        if (In.Samples[C] == 0 && !Critical && !Promoted)
-          continue;
-        RankerChunkContext Chunk;
-        Chunk.Samples = In.Samples[C];
-        Chunk.EstimatedMisses = In.EstimatedMisses[C];
-        Chunk.Priority = Recorded.Priority[C];
-        Chunk.Critical = Critical;
-        Chunk.Promoted = Promoted;
-        Chunk.NodeTreeRatio = Recorded.NodeTreeRatio[C];
-        std::array<double, NumRankerFeatures> Features{};
-        rankerFeatures(Obj, Chunk, Features.data());
-        bool Hot = false;
-        if (NextIt != NextIndex.end()) {
-          const ReplayRecordedObject &NextRecorded =
-              Next.Recorded[NextIt->second];
-          // Label on next-epoch *observed* hotness (sampled critical or
-          // globally ranked), not the full selection: tree promotion
-          // patches gaps speculatively, and folding that inflation into
-          // the target would teach the model the heuristic's blanket,
-          // not the workload's recurring hot set.
-          if (C < NextRecorded.SampledCritical.size())
-            Hot = NextRecorded.SampledCritical[C] ||
-                  NextRecorded.GlobalRanked[C];
-        }
-        Set.Features.push_back(Features);
-        Set.Labels.push_back(Hot ? 1.0 : 0.0);
-      }
-    }
-  }
-  return Set;
-}
-
-RankerModel atmem::analyzer::trainRidgeRanker(const RankerTrainingSet &Set,
-                                              double L2) {
-  constexpr size_t N = NumRankerFeatures;
-  if (Set.Features.empty() || Set.Features.size() != Set.Labels.size())
-    return heuristicMimicModel();
-
-  // Normal equations: (X^T X + L2 * I) w = X^T y, bias unpenalized.
-  double XtX[N][N] = {};
-  double Xty[N] = {};
-  for (size_t R = 0; R < Set.Features.size(); ++R) {
-    const std::array<double, N> &F = Set.Features[R];
-    double Y = Set.Labels[R];
-    for (size_t I = 0; I < N; ++I) {
-      Xty[I] += F[I] * Y;
-      for (size_t J = 0; J < N; ++J)
-        XtX[I][J] += F[I] * F[J];
-    }
-  }
-  for (size_t I = 1; I < N; ++I)
-    XtX[I][I] += L2;
-
-  // Gaussian elimination with partial pivoting.
-  double W[N] = {};
-  size_t Perm[N];
-  for (size_t I = 0; I < N; ++I)
-    Perm[I] = I;
-  for (size_t Col = 0; Col < N; ++Col) {
-    size_t Pivot = Col;
-    for (size_t Row = Col + 1; Row < N; ++Row)
-      if (std::fabs(XtX[Row][Col]) > std::fabs(XtX[Pivot][Col]))
-        Pivot = Row;
-    if (std::fabs(XtX[Pivot][Col]) < 1e-12)
-      return heuristicMimicModel(); // Singular: nothing learnable here.
-    if (Pivot != Col) {
-      for (size_t J = 0; J < N; ++J)
-        std::swap(XtX[Col][J], XtX[Pivot][J]);
-      std::swap(Xty[Col], Xty[Pivot]);
-    }
-    for (size_t Row = Col + 1; Row < N; ++Row) {
-      double Factor = XtX[Row][Col] / XtX[Col][Col];
-      for (size_t J = Col; J < N; ++J)
-        XtX[Row][J] -= Factor * XtX[Col][J];
-      Xty[Row] -= Factor * Xty[Col];
-    }
-  }
-  for (size_t Col = N; Col-- > 0;) {
-    double Sum = Xty[Col];
-    for (size_t J = Col + 1; J < N; ++J)
-      Sum -= XtX[Col][J] * W[J];
-    W[Col] = Sum / XtX[Col][Col];
-  }
-  (void)Perm;
-
-  RankerModel Model;
-  for (size_t I = 0; I < N; ++I) {
-    if (!std::isfinite(W[I]))
-      return heuristicMimicModel();
-    Model.Weights[I] = W[I];
-  }
-  // Regression targets are 0/1: the decision level sits at 0.5, folded
-  // into the bias so the model's contract stays "select on score > 0".
-  Model.Weights[RankerBias] -= 0.5;
-  return Model;
+  const ReplayMetrics &M = Report.Heuristic;
+  char Buf[512];
+  std::snprintf(
+      Buf, sizeof(Buf),
+      "{\n  \"format\": \"atmem-replay-v1\",\n"
+      "  \"epochs\": %llu,\n  \"budget_bytes\": %llu,\n"
+      "  \"drift_chunks\": %llu,\n"
+      "  \"heuristic\": {\"hit_fraction_next\": %.17g, "
+      "\"hit_fraction_same\": %.17g, \"placed_chunks\": %llu, "
+      "\"plan_bytes\": %llu, \"churn_chunks\": %llu}\n}\n",
+      static_cast<unsigned long long>(Report.Epochs),
+      static_cast<unsigned long long>(Report.BudgetBytes),
+      static_cast<unsigned long long>(Report.Drift.Mismatches),
+      M.HitFractionNext, M.HitFractionSame,
+      static_cast<unsigned long long>(M.PlacedChunks),
+      static_cast<unsigned long long>(M.PlanBytes),
+      static_cast<unsigned long long>(M.ChurnChunks));
+  return Buf;
 }

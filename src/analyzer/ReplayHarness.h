@@ -6,23 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic decision-log replay and policy A/B comparison. A recorded
-/// atdl log carries everything the analyzer consumed — per-(epoch, object,
-/// chunk) sample counts, miss estimates, chunk geometry, the sampling
-/// period — so the harness can reconstruct the exact classification inputs
-/// and re-run Analyzer::classifyInputs under any policy on identical data:
+/// Deterministic decision-log replay. A recorded atdl log carries
+/// everything the analyzer consumed — per-(epoch, object, chunk) sample
+/// counts, miss estimates, chunk geometry, the sampling period — so the
+/// harness can reconstruct the exact classification inputs and re-run
+/// Analyzer::classifyInputs on identical data:
 ///
 ///   * drift check — the replayed Eq. 1-5 selection must reproduce the
 ///     recorded verdicts chunk for chunk (atmem_explain --diff semantics:
-///     tools/atmem_replay exits 3 on any mismatch), so policy experiments
+///     tools/atmem_replay exits 3 on any mismatch), so an analyzer change
 ///     can never silently regress placements;
-///   * A/B report — the heuristic and a learned ranker run side by side
-///     on every epoch, scored on fast-tier hit fraction (the share of
-///     next-epoch miss traffic landing on fast-placed chunks), plan
-///     agreement, and migration churn;
-///   * training — the same reconstruction yields the (features, label)
-///     rows tools/atmem_train fits its linear model on, with labels taken
-///     from the *next* epoch's recorded selection.
+///   * placement report — the replayed plans are scored on fast-tier hit
+///     fraction (the share of next-epoch miss traffic landing on
+///     fast-placed chunks) and migration churn.
 ///
 /// Everything here is pure computation over decoded artifacts: replaying
 /// the same log twice produces byte-identical reports.
@@ -33,41 +29,24 @@
 #define ATMEM_ANALYZER_REPLAYHARNESS_H
 
 #include "analyzer/Analyzer.h"
-#include "analyzer/RankerPolicy.h"
 #include "obs/DecisionLog.h"
 
-#include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace atmem {
 namespace analyzer {
 
-/// The recorded analyzer verdicts of one object in one epoch (what the
-/// original run decided; replay checks itself against these).
-struct ReplayRecordedObject {
-  obs::ObjectEpochRecord Meta;
-  /// Per-chunk flag bits from the ChunkDecision records; cold chunks
-  /// (absent from the log) are zero everywhere.
-  std::vector<uint8_t> SampledCritical;
-  std::vector<uint8_t> GlobalRanked;
-  std::vector<uint8_t> Promoted;
-  std::vector<double> Priority;
-  std::vector<double> NodeTreeRatio;
-
-  bool selected(uint32_t Chunk) const {
-    return SampledCritical[Chunk] || GlobalRanked[Chunk] || Promoted[Chunk];
-  }
-};
-
-/// One reconstructed epoch: the classification inputs plus the recorded
-/// outcomes, in the original object order.
+/// One reconstructed epoch: the classification inputs plus what the
+/// original run decided, in the original object order.
 struct ReplayEpoch {
   uint64_t Epoch = 0;
   uint64_t SamplePeriod = 0;
   std::vector<ObjectProfileInput> Inputs;
-  std::vector<ReplayRecordedObject> Recorded;
+  /// Per object, per chunk: 1 when the recorded run selected the chunk
+  /// (sampled critical, globally ranked, or promoted). Cold chunks, absent
+  /// from the log, are 0. Replay checks itself against these.
+  std::vector<std::vector<uint8_t>> RecordedSelected;
 };
 
 /// Reconstructs per-epoch analyzer inputs from a decoded artifact. Epochs
@@ -78,8 +57,8 @@ bool replayEpochsFromArtifact(const obs::DecisionArtifact &Artifact,
                               std::vector<ReplayEpoch> &Out,
                               std::string *Error = nullptr);
 
-/// Placement metrics of one policy across the replayed epochs.
-struct ReplayPolicyMetrics {
+/// Placement metrics of the replayed plans across all epochs.
+struct ReplayMetrics {
   /// Mean fast-tier hit fraction: misses landing on fast-placed chunks
   /// over all misses, scored against the *next* epoch's recorded traffic
   /// (placement serves the future; epochs without a successor are
@@ -95,33 +74,26 @@ struct ReplayPolicyMetrics {
   uint64_t ChurnChunks = 0;
 };
 
-/// Replay-vs-record drift of the heuristic policy.
+/// Replay-vs-record drift of the heuristic.
 struct ReplayDrift {
   uint64_t Mismatches = 0; ///< Chunks whose selection verdict differs.
   std::string First;       ///< "epoch E obj NAME chunk C: ..." or "".
 };
 
-/// The full A/B comparison result.
+/// The full replay result.
 struct ReplayReport {
   uint64_t Epochs = 0;
   uint64_t BudgetBytes = 0; ///< 0 = unbudgeted plans.
-  bool RankerActive = false;
-  ReplayPolicyMetrics Heuristic;
-  ReplayPolicyMetrics Ranker; ///< Meaningful when RankerActive.
-  /// Jaccard agreement of the two policies' placed chunk sets, pooled
-  /// over all epochs (1.0 when both are empty or no ranker ran).
-  double PlanAgreement = 1.0;
+  ReplayMetrics Heuristic;
   ReplayDrift Drift;
 };
 
-/// Re-runs the analyzer over \p Epochs under the heuristic (BaseConfig
-/// with no ranker) and — when \p Model is non-null — under the learned
-/// ranker, computing drift against the recorded verdicts and the A/B
-/// metrics above. \p BudgetBytes caps every epoch's plan (0 = unbounded).
-ReplayReport replayCompare(const std::vector<ReplayEpoch> &Epochs,
-                           const AnalyzerConfig &BaseConfig,
-                           std::shared_ptr<const RankerModel> Model,
-                           uint64_t BudgetBytes = 0);
+/// Re-runs the analyzer under \p Config over \p Epochs, computing drift
+/// against the recorded verdicts and the placement metrics above.
+/// \p BudgetBytes caps every epoch's plan (0 = unbounded).
+ReplayReport replayHeuristic(const std::vector<ReplayEpoch> &Epochs,
+                             const AnalyzerConfig &Config,
+                             uint64_t BudgetBytes = 0);
 
 /// Renders \p Report as a fixed-format human-readable block (byte-stable
 /// across repeated replays of the same log).
@@ -129,30 +101,6 @@ std::string replayReportText(const ReplayReport &Report);
 
 /// Renders \p Report as a single JSON object ("atmem-replay-v1").
 std::string replayReportJson(const ReplayReport &Report);
-
-/// One training row per recorded (epoch, object, chunk) that has a
-/// successor epoch: atmem-ranker-v1 features from the recorded epoch,
-/// label 1.0 when the *next* epoch observed the chunk hot (sampled
-/// critical or globally ranked; speculative tree promotion does not
-/// count, so the target is the workload's recurrence, not the
-/// heuristic's gap patching).
-struct RankerTrainingSet {
-  std::vector<std::array<double, NumRankerFeatures>> Features;
-  std::vector<double> Labels;
-};
-
-/// Extracts the training rows from reconstructed epochs. Chunks the log
-/// omitted as cold still contribute rows when they are selected next
-/// epoch is irrelevant — only recorded (warm) chunks produce rows, which
-/// is exactly the evidence the flight recorder kept.
-RankerTrainingSet rankerTrainingSet(const std::vector<ReplayEpoch> &Epochs);
-
-/// Ridge least-squares fit of the 0/1 labels (closed-form normal
-/// equations, deterministic; the bias column is not penalized). The 0.5
-/// decision level of the regression target is folded into the bias so the
-/// returned model selects on score > 0. Falls back to the Eq. 1-5 mimic
-/// model when the set is empty or the system is singular.
-RankerModel trainRidgeRanker(const RankerTrainingSet &Set, double L2);
 
 } // namespace analyzer
 } // namespace atmem

@@ -48,7 +48,6 @@ static core::RuntimeConfig makeRuntimeConfig(const RunConfig &Config) {
   core::RuntimeConfig RtConfig;
   RtConfig.Machine = Config.Machine;
   RtConfig.Analyzer.SelectivityBias = Config.EpsilonOffset;
-  RtConfig.Analyzer.RankerModelPath = Config.RankerModelPath;
   RtConfig.SimThreads = Config.SimThreads;
   RtConfig.Telemetry = Config.Telemetry;
   switch (Config.PolicyKind) {

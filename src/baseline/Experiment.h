@@ -84,10 +84,6 @@ struct RunConfig {
   /// Telemetry collection/export forwarded into the runtime (see
   /// core::RuntimeConfig::Telemetry). Disabled by default.
   obs::TelemetryConfig Telemetry;
-  /// atmem-ranker-v1 model file re-scoring every placement verdict (see
-  /// analyzer::AnalyzerConfig::RankerModelPath). Empty keeps the Eq. 1-5
-  /// heuristic bit-identical.
-  std::string RankerModelPath;
 };
 
 /// Results of one experiment.

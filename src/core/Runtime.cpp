@@ -228,20 +228,6 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
                                   Options, &Error))
       logError("decision ring: %s", Error.c_str());
   }
-  if (!Config.Analyzer.RankerModelPath.empty() && !Config.Analyzer.Ranker) {
-    // Learned ranker: load once here so every optimize() epoch scores
-    // with the same weights. Any failure (missing file, malformed JSON,
-    // injected fault) is non-fatal — the Eq. 1-5 heuristic stays active
-    // and loadRankerModel has already bumped ranker.model_load_failed.
-    analyzer::RankerModel Model;
-    std::string Error;
-    if (analyzer::loadRankerModel(Config.Analyzer.RankerModelPath, Model,
-                                  &Error))
-      Config.Analyzer.Ranker =
-          std::make_shared<analyzer::RankerModel>(Model);
-    else
-      logError("ranker model: %s", Error.c_str());
-  }
   if (!Config.Telemetry.TimeSeriesPath.empty() ||
       !Config.Telemetry.OpenMetricsPath.empty() ||
       !Config.Telemetry.StatsSocketPath.empty())
@@ -491,15 +477,15 @@ void Runtime::captureEpochSample(const mem::MigrationResult &Result,
   if (obs::TimeSeries::instance().enabled() || HealthMon) {
     obs::EpochSample S;
     S.Epoch = OptimizeEpochs;
-    S.Accesses = Stats.Accesses;
-    S.MissesFast = Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)];
-    S.MissesSlow = Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)];
+    S.Accesses = Hot.Stats.Accesses;
+    S.MissesFast = Hot.Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)];
+    S.MissesSlow = Hot.Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)];
     uint64_t Misses = S.MissesFast + S.MissesSlow;
     S.SlowMissFraction =
         Misses == 0 ? 0.0
                     : static_cast<double>(S.MissesSlow) /
                           static_cast<double>(Misses);
-    double IterSec = M.kernelModel().estimate(Stats).seconds();
+    double IterSec = M.kernelModel().estimate(Hot.Stats).seconds();
     S.DrainMissesPerSec =
         IterSec > 0.0 ? static_cast<double>(Misses) / IterSec : 0.0;
     S.MigrationBytes = Result.BytesMoved;
@@ -858,7 +844,7 @@ void Runtime::recordSkipped(const mem::DataObject &Obj,
 }
 
 void Runtime::beginIteration() {
-  Stats = sim::AccessStats();
+  Hot.Stats = sim::AccessStats();
   for (auto &Ctx : Contexts)
     Ctx->beginIteration();
   if (obs::enabled() && !IterationSpanOpen) {
@@ -869,7 +855,7 @@ void Runtime::beginIteration() {
 
 double Runtime::endIteration() {
   mergeContexts();
-  double SimSec = M.kernelModel().estimate(Stats).seconds();
+  double SimSec = M.kernelModel().estimate(Hot.Stats).seconds();
   if (obs::enabled()) {
     static obs::Counter Iterations("runtime.iterations");
     static obs::Counter Accesses("runtime.accesses");
@@ -878,10 +864,10 @@ double Runtime::endIteration() {
     static obs::Counter MissesSlow("runtime.misses_slow");
     static obs::Histogram IterUs("runtime.iteration_sim_us");
     Iterations.add(1);
-    Accesses.add(Stats.Accesses);
-    LlcHits.add(Stats.LlcHits);
-    MissesFast.add(Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)]);
-    MissesSlow.add(Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)]);
+    Accesses.add(Hot.Stats.Accesses);
+    LlcHits.add(Hot.Stats.LlcHits);
+    MissesFast.add(Hot.Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)]);
+    MissesSlow.add(Hot.Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)]);
     IterUs.recordSeconds(SimSec);
     if (ReplayTlb) {
       // Hoisted like the counters above: constructing a Gauge by name is
@@ -897,8 +883,8 @@ double Runtime::endIteration() {
     obs::Tracer::instance().end(
         "runtime.iteration", "runtime",
         {{"sim_sec", SimSec},
-         {"accesses", static_cast<double>(Stats.Accesses)},
-         {"llc_hits", static_cast<double>(Stats.LlcHits)}});
+         {"accesses", static_cast<double>(Hot.Stats.Accesses)},
+         {"llc_hits", static_cast<double>(Hot.Stats.LlcHits)}});
   }
   return SimSec;
 }
@@ -912,7 +898,7 @@ void Runtime::mergeContexts() {
   // which misses are chosen.
   PendingScratch.clear();
   for (auto &Ctx : Contexts) {
-    Stats += Ctx->stats();
+    Hot.Stats += Ctx->stats();
     Ctx->stats() = sim::AccessStats();
     const std::vector<uint64_t> &Buf = Ctx->missBuffer();
     Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
@@ -992,7 +978,7 @@ double Runtime::fastDataRatio() const {
 
 void Runtime::onLlcMiss(const TrackHandle &Handle, uint64_t Offset,
                         uint64_t Va) {
-  ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
+  ++Hot.Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
   Profiler.notifyMiss(Va);
   if (MissTrace)
     MissTrace->record(Va);

@@ -166,7 +166,7 @@ public:
   void beginIteration();
   /// Ends the iteration and returns its simulated duration in seconds.
   double endIteration();
-  const sim::AccessStats &iterationStats() const { return Stats; }
+  const sim::AccessStats &iterationStats() const { return Hot.Stats; }
   /// @}
 
   /// Hot path: one tracked access at byte offset \p Offset of the object
@@ -179,16 +179,16 @@ public:
   /// line so each site only grows by the MRU probe.
   [[gnu::always_inline]] void onAccess(const TrackHandle &Handle,
                                        uint64_t Offset) {
-    if (!TrackingEnabled)
+    if (!Hot.TrackingEnabled)
       return;
     if (Bound.Owner == this) {
       Bound.Ctx->onAccess(Handle, Offset);
       return;
     }
-    ++Stats.Accesses;
+    ++Hot.Stats.Accesses;
     uint64_t Va = Handle.VaBase + Offset;
     if (M.llc().access(Va)) {
-      ++Stats.LlcHits;
+      ++Hot.Stats.LlcHits;
       return;
     }
     onLlcMiss(Handle, Offset, Va);
@@ -219,8 +219,8 @@ public:
   /// @}
 
   /// Enables/disables all tracking (e.g. during graph construction).
-  void setTrackingEnabled(bool Enabled) { TrackingEnabled = Enabled; }
-  bool trackingEnabled() const { return TrackingEnabled; }
+  void setTrackingEnabled(bool Enabled) { Hot.TrackingEnabled = Enabled; }
+  bool trackingEnabled() const { return Hot.TrackingEnabled; }
 
   /// Attaches a TLB that every tracked access replays against the current
   /// page table (Table 4 measurement mode); nullptr detaches.
@@ -283,7 +283,7 @@ private:
                      sim::TierId Target,
                      const std::vector<double> *Priorities);
 
-  /// The shard drain: merges shard stats into Stats and replays buffered
+  /// The shard drain: merges shard stats into Hot.Stats and replays buffered
   /// misses through the profiler / trace / TLB consumers, in thread-index
   /// order (select samples → attribute and commit them in order → replay
   /// the TLB → hand the buffers to the trace writer or recycle them).
@@ -301,6 +301,15 @@ private:
   };
   static thread_local ContextBinding Bound;
 
+  /// What onAccess() reads and writes on every serial-engine access, in
+  /// one cache line at the start of the object: edits to RuntimeConfig or
+  /// to the members below cannot move it.
+  struct alignas(64) HotState {
+    sim::AccessStats Stats;
+    bool TrackingEnabled = true;
+  };
+  HotState Hot;
+
   RuntimeConfig Config;
   sim::Machine M;
   mem::DataObjectRegistry Registry;
@@ -311,7 +320,6 @@ private:
   analyzer::PlacementPlan LastPlan;
   /// Planned-but-unplaced chunks from the most recent optimize().
   std::vector<SkippedChunk> Skipped;
-  sim::AccessStats Stats;
   /// One shard per SimThread when SimThreads > 1 (else empty).
   std::vector<std::unique_ptr<SimContext>> Contexts;
   /// Pool sized SimThreads driving parallelTracked (null when serial).
@@ -327,7 +335,6 @@ private:
   /// same objects, so last drain's hint starts warm instead of re-walking
   /// the registry index from cold every batch.
   mem::AttributionHint AttrHint;
-  bool TrackingEnabled = true;
   /// True while a "runtime.iteration" trace span is open (beginIteration
   /// ran with telemetry enabled; endIteration closes it).
   bool IterationSpanOpen = false;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 using namespace atmem;
 using namespace atmem::mem;
@@ -35,8 +34,8 @@ DataObject::DataObject(ObjectId Id, std::string Name, uint64_t Va,
   MappedBytes = Pages * sim::SmallPageBytes;
   NumChunks = static_cast<uint32_t>((MappedBytes + ChunkBytes - 1) /
                                     ChunkBytes);
+  // make_unique value-initializes: the host buffer starts zeroed.
   Host = std::make_unique<std::byte[]>(MappedBytes);
-  std::memset(Host.get(), 0, MappedBytes);
   ChunkTiers.assign(NumChunks, static_cast<uint8_t>(sim::TierId::Slow));
 }
 

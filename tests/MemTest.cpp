@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 using namespace atmem;
 using namespace atmem::mem;
 using namespace atmem::sim;
@@ -90,9 +93,24 @@ TEST(DataObjectTest, TierBookkeeping) {
 }
 
 TEST(DataObjectTest, HostBufferZeroInitialized) {
-  DataObject Obj(0, "x", 0x1000000, 4096, 4096);
-  for (uint64_t I = 0; I < 4096; ++I)
-    ASSERT_EQ(Obj.data()[I], std::byte{0});
+  // Dirty and free a block of each object's mapped size first, so the
+  // allocator may hand the same dirty memory back: every byte of the new
+  // object must still read zero (one page, a partial last page, several
+  // pages, and a buffer past the allocator's mmap threshold).
+  for (uint64_t Size : {4096ull, 3 * 4096ull + 1, 64 * 4096ull, 8ull << 20}) {
+    uint64_t Mapped = (Size + 4095) / 4096 * 4096;
+    {
+      std::unique_ptr<std::byte[]> Dirty(new std::byte[Mapped]);
+      std::memset(Dirty.get(), 0xA5, Mapped);
+      // Keep the compiler from eliding the stores to a buffer it frees.
+      asm volatile("" : : "r"(Dirty.get()) : "memory");
+    }
+    DataObject Obj(0, "x", 0x1000000, Size, 4096);
+    ASSERT_EQ(Obj.mappedBytes(), Mapped);
+    for (uint64_t I = 0; I < Mapped; ++I)
+      ASSERT_EQ(Obj.data()[I], std::byte{0})
+          << "size " << Size << " byte " << I;
+  }
 }
 
 class RegistryTest : public ::testing::Test {

@@ -7,19 +7,18 @@
 ///
 /// \file
 /// atmem_replay: deterministic re-execution of recorded placement
-/// decisions, with optional learned-ranker A/B comparison.
+/// decisions.
 ///
 /// The tool reconstructs every epoch's analyzer inputs from an atdl/atdr
 /// decision log, re-runs the Eq. 1-5 heuristic on them, and verifies the
 /// replayed selection against the recorded verdicts (atmem_explain --diff
-/// semantics: any drift exits 3). With --model it additionally runs the
-/// learned ranker on the identical inputs and reports fast-tier hit
-/// fraction, plan agreement, and migration churn for both policies.
+/// semantics: any drift exits 3). It reports the replayed plans'
+/// fast-tier hit fraction, placed chunks, plan bytes, and migration churn.
 ///
 /// Examples:
 ///   atmem_replay run.atdl
-///   atmem_replay run.atdl --model ranker.json --budget 262144
-///   atmem_replay run.atdl --model ranker.json --json
+///   atmem_replay run.atdl --budget 262144
+///   atmem_replay run.atdl --json
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 using namespace atmem;
@@ -43,11 +41,9 @@ int usage(const char *Prog) {
       "usage: %s <decision-log.atdl | ring-base-path> [options]\n"
       "\n"
       "replays a recorded decision log through the analyzer and checks\n"
-      "the replayed heuristic against the recorded placements; with a\n"
-      "model, A/B-compares the learned ranker on identical inputs\n"
+      "the replayed heuristic against the recorded placements\n"
       "\n"
       "options:\n"
-      "  --model FILE.json   atmem-ranker-v1 weights to A/B against\n"
       "  --budget BYTES      cap every epoch's plan (default: unbudgeted)\n"
       "  --json              emit the report as JSON instead of text\n"
       "  --no-drift-gate     report drift but do not exit 3 on it\n"
@@ -66,14 +62,11 @@ int main(int Argc, const char **Argv) {
     return usage(Argv[0]);
 
   std::string LogPath = Argv[1];
-  std::string ModelPath;
   uint64_t BudgetBytes = 0;
   bool Json = false;
   bool DriftGate = true;
   for (int I = 2; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--model") == 0 && I + 1 < Argc) {
-      ModelPath = Argv[++I];
-    } else if (std::strcmp(Argv[I], "--budget") == 0 && I + 1 < Argc) {
+    if (std::strcmp(Argv[I], "--budget") == 0 && I + 1 < Argc) {
       if (!tryParseUnsigned(Argv[++I], BudgetBytes)) {
         std::fprintf(stderr, "atmem_replay: bad --budget '%s'\n", Argv[I]);
         return 2;
@@ -102,20 +95,8 @@ int main(int Argc, const char **Argv) {
     return 1;
   }
 
-  std::shared_ptr<const analyzer::RankerModel> Model;
-  if (!ModelPath.empty()) {
-    analyzer::RankerModel Loaded;
-    if (!analyzer::loadRankerModel(ModelPath, Loaded, &Error)) {
-      std::fprintf(stderr, "atmem_replay: %s: %s\n", ModelPath.c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    Model = std::make_shared<analyzer::RankerModel>(Loaded);
-  }
-
-  analyzer::AnalyzerConfig Config;
-  analyzer::ReplayReport Report =
-      analyzer::replayCompare(Epochs, Config, Model, BudgetBytes);
+  analyzer::ReplayReport Report = analyzer::replayHeuristic(
+      Epochs, analyzer::AnalyzerConfig(), BudgetBytes);
 
   std::string Text = Json ? analyzer::replayReportJson(Report)
                           : analyzer::replayReportText(Report);

@@ -123,10 +123,6 @@ int main(int Argc, const char **Argv) {
                  "re-profile and re-optimize around every measured "
                  "iteration (one decision-log epoch per iteration) instead "
                  "of the single second-iteration optimize");
-  Parser.addString("ranker-model", "",
-                   "re-score every placement verdict with this "
-                   "atmem-ranker-v1 JSON model (train with atmem_train); "
-                   "load failures fall back to the Eq. 1-5 heuristic");
   Parser.addString("fault-spec", "", fault::faultSpecHelp());
   if (!Parser.parse(Argc, Argv))
     return 1;
@@ -232,7 +228,6 @@ int main(int Argc, const char **Argv) {
     Config.SimThreads = std::max(Parser.getUnsigned32("sim-threads"), 1u);
     Config.OptimizeEachIteration = Parser.getFlag("reoptimize");
     Config.Telemetry = Telemetry;
-    Config.RankerModelPath = Parser.getString("ranker-model");
     return baseline::runExperiment(Config);
   };
 
